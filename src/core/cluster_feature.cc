@@ -101,14 +101,25 @@ double ErrorClusterFeature::ExpectedCentroidNormSquared() const {
   return sum;
 }
 
-double ErrorClusterFeature::UncertainRadiusSquared() const {
+double EcfView::UncertainRadiusSquared() const {
   UMICRO_CHECK(!empty());
-  const double n = weight_;
+  const double n = weight;
   double sum = 0.0;
-  for (std::size_t j = 0; j < dimensions(); ++j) {
-    sum += cf2_[j] + ef2_[j] * (1.0 + 1.0 / n) - cf1_[j] * cf1_[j] / n;
+  for (std::size_t j = 0; j < dims; ++j) {
+    sum += cf2[j] + ef2[j] * (1.0 + 1.0 / n) - cf1[j] * cf1[j] / n;
   }
   return std::max(0.0, sum / n);
+}
+
+double EcfView::VarianceAt(std::size_t j) const {
+  UMICRO_CHECK(!empty());
+  UMICRO_CHECK(j < dims);
+  const double mean = cf1[j] / weight;
+  return std::max(0.0, cf2[j] / weight - mean * mean);
+}
+
+double ErrorClusterFeature::UncertainRadiusSquared() const {
+  return EcfView(*this).UncertainRadiusSquared();
 }
 
 double ErrorClusterFeature::UncertainRadius() const {
@@ -116,10 +127,7 @@ double ErrorClusterFeature::UncertainRadius() const {
 }
 
 double ErrorClusterFeature::VarianceAt(std::size_t j) const {
-  UMICRO_CHECK(!empty());
-  UMICRO_CHECK(j < dimensions());
-  const double mean = cf1_[j] / weight_;
-  return std::max(0.0, cf2_[j] / weight_ - mean * mean);
+  return EcfView(*this).VarianceAt(j);
 }
 
 ErrorClusterFeature ErrorClusterFeature::FromRaw(std::vector<double> cf1,

@@ -23,6 +23,41 @@
 
 namespace umicro::core {
 
+class ErrorClusterFeature;
+
+/// Read-only view of one cluster's raw ECF statistics: the moment arrays
+/// CF1x, CF2x, EF2x (each `dims` long) and the weight n(C). Both an
+/// ErrorClusterFeature and a row of kernels::ClusterTable produce one, so
+/// each formula over the statistics (Eq. 6, BIRCH variance, Lemma 2.2 in
+/// core/expected_distance.h) has a single implementation whichever
+/// container holds the numbers.
+struct EcfView {
+  EcfView(const double* cf1_in, const double* cf2_in, const double* ef2_in,
+          double weight_in, std::size_t dims_in)
+      : cf1(cf1_in), cf2(cf2_in), ef2(ef2_in), weight(weight_in),
+        dims(dims_in) {}
+  /// Views an ErrorClusterFeature (implicit: every formula taking a view
+  /// accepts the value type directly).
+  EcfView(const ErrorClusterFeature& ecf);  // NOLINT(runtime/explicit)
+
+  const double* cf1;
+  const double* cf2;
+  const double* ef2;
+  double weight;
+  std::size_t dims;
+
+  /// True when no weight has been folded in.
+  bool empty() const { return weight <= 0.0; }
+
+  /// Squared uncertain radius (Eq. 6); see
+  /// ErrorClusterFeature::UncertainRadiusSquared.
+  double UncertainRadiusSquared() const;
+
+  /// BIRCH variance along dimension `j`; see
+  /// ErrorClusterFeature::VarianceAt.
+  double VarianceAt(std::size_t j) const;
+};
+
 /// Additive error-based cluster feature vector (ECF).
 class ErrorClusterFeature {
  public:
@@ -117,6 +152,10 @@ class ErrorClusterFeature {
   double weight_ = 0.0;
   double last_update_time_ = 0.0;
 };
+
+inline EcfView::EcfView(const ErrorClusterFeature& ecf)
+    : EcfView(ecf.cf1().data(), ecf.cf2().data(), ecf.ef2().data(),
+              ecf.weight(), ecf.dimensions()) {}
 
 }  // namespace umicro::core
 

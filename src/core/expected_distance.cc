@@ -7,11 +7,11 @@
 namespace umicro::core {
 
 double ExpectedSquaredDistance(const stream::UncertainPoint& point,
-                               const ErrorClusterFeature& cluster) {
+                               const EcfView& cluster) {
   UMICRO_CHECK(!cluster.empty());
-  UMICRO_CHECK(point.dimensions() == cluster.dimensions());
+  UMICRO_CHECK(point.dimensions() == cluster.dims);
   double v = 0.0;
-  for (std::size_t j = 0; j < cluster.dimensions(); ++j) {
+  for (std::size_t j = 0; j < cluster.dims; ++j) {
     v += ExpectedSquaredDistanceAt(point, cluster, j);
   }
   // v is a sum of expectations of squares; clamp tiny negative residue.
@@ -19,14 +19,14 @@ double ExpectedSquaredDistance(const stream::UncertainPoint& point,
 }
 
 double GeometricSquaredDistance(const stream::UncertainPoint& point,
-                                const ErrorClusterFeature& cluster) {
+                                const EcfView& cluster) {
   UMICRO_DCHECK(!cluster.empty());
-  UMICRO_DCHECK(point.dimensions() == cluster.dimensions());
-  const double n = cluster.weight();
-  const double* cf1 = cluster.cf1().data();
+  UMICRO_DCHECK(point.dimensions() == cluster.dims);
+  const double n = cluster.weight;
+  const double* cf1 = cluster.cf1;
   const double* x = point.values.data();
   double g = 0.0;
-  for (std::size_t j = 0; j < cluster.dimensions(); ++j) {
+  for (std::size_t j = 0; j < cluster.dims; ++j) {
     const double diff = x[j] - cf1[j] / n;
     g += diff * diff;
   }
@@ -34,19 +34,19 @@ double GeometricSquaredDistance(const stream::UncertainPoint& point,
 }
 
 double DimensionCountingSimilarity(
-    const stream::UncertainPoint& point, const ErrorClusterFeature& cluster,
+    const stream::UncertainPoint& point, const EcfView& cluster,
     const std::vector<double>& global_variances, double thresh,
     DistanceForm form) {
   UMICRO_DCHECK(!cluster.empty());
-  UMICRO_DCHECK(point.dimensions() == cluster.dimensions());
-  UMICRO_DCHECK(global_variances.size() == cluster.dimensions());
+  UMICRO_DCHECK(point.dimensions() == cluster.dims);
+  UMICRO_DCHECK(global_variances.size() == cluster.dims);
   UMICRO_DCHECK(thresh > 0.0);
-  const std::size_t dims = cluster.dimensions();
-  const double n = cluster.weight();
+  const std::size_t dims = cluster.dims;
+  const double n = cluster.weight;
   const double inv_n = 1.0 / n;
   const double inv_n2 = inv_n * inv_n;
-  const double* cf1 = cluster.cf1().data();
-  const double* ef2 = cluster.ef2().data();
+  const double* cf1 = cluster.cf1;
+  const double* ef2 = cluster.ef2;
   const double* x = point.values.data();
   const double* psi = point.errors.empty() ? nullptr : point.errors.data();
   const bool include_cluster_error = form == DistanceForm::kPaperExpected;

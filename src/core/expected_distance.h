@@ -25,19 +25,19 @@ namespace umicro::core {
 /// (evaluated per cluster per dimension per point) and must inline into
 /// the scan loops.
 inline double ExpectedSquaredDistanceAt(const stream::UncertainPoint& point,
-                                        const ErrorClusterFeature& cluster,
+                                        const EcfView& cluster,
                                         std::size_t j) {
-  const double n = cluster.weight();
-  const double cf1 = cluster.cf1()[j];
+  const double n = cluster.weight;
+  const double cf1 = cluster.cf1[j];
   const double x = point.values[j];
   const double psi = point.ErrorAt(j);
-  return cf1 * cf1 / (n * n) + cluster.ef2()[j] / (n * n) + psi * psi +
+  return cf1 * cf1 / (n * n) + cluster.ef2[j] / (n * n) + psi * psi +
          x * x - 2.0 * x * cf1 / n;
 }
 
 /// Lemma 2.2, summed over dimensions: v = E[||X - Z||^2].
 double ExpectedSquaredDistance(const stream::UncertainPoint& point,
-                               const ErrorClusterFeature& cluster);
+                               const EcfView& cluster);
 
 /// Lemma 2.2 minus the cluster-error term EF2_j/n^2, one dimension.
 ///
@@ -50,26 +50,26 @@ double ExpectedSquaredDistance(const stream::UncertainPoint& point,
 /// that is safe to compare across clusters while still reflecting how
 /// uncertain the point's own measurement is.
 inline double ComparableSquaredDistanceAt(
-    const stream::UncertainPoint& point, const ErrorClusterFeature& cluster,
+    const stream::UncertainPoint& point, const EcfView& cluster,
     std::size_t j) {
-  const double n = cluster.weight();
+  const double n = cluster.weight;
   return ExpectedSquaredDistanceAt(point, cluster, j) -
-         cluster.ef2()[j] / (n * n);
+         cluster.ef2[j] / (n * n);
 }
 
 /// The purely geometric squared distance between the instantiation x and
 /// the expected centroid E[Z] = CF1/n along dimension j. Equals Lemma
 /// 2.2 minus both error terms (psi_j^2 and EF2_j/n^2).
 inline double GeometricSquaredDistanceAt(const stream::UncertainPoint& point,
-                                         const ErrorClusterFeature& cluster,
+                                         const EcfView& cluster,
                                          std::size_t j) {
-  const double diff = point.values[j] - cluster.cf1()[j] / cluster.weight();
+  const double diff = point.values[j] - cluster.cf1[j] / cluster.weight;
   return diff * diff;
 }
 
 /// Geometric squared distance summed over dimensions, clamped at 0.
 double GeometricSquaredDistance(const stream::UncertainPoint& point,
-                                const ErrorClusterFeature& cluster);
+                                const EcfView& cluster);
 
 /// How the per-dimension distance inside the similarity is computed.
 enum class DistanceForm {
@@ -91,7 +91,7 @@ enum class DistanceForm {
 /// nothing and are thereby pruned from the comparison. Larger return
 /// values mean more similar. Dimensions with sigma_j^2 <= 0 are skipped.
 double DimensionCountingSimilarity(
-    const stream::UncertainPoint& point, const ErrorClusterFeature& cluster,
+    const stream::UncertainPoint& point, const EcfView& cluster,
     const std::vector<double>& global_variances, double thresh,
     DistanceForm form = DistanceForm::kComparable);
 

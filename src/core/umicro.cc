@@ -24,8 +24,8 @@ UMicro::UMicro(std::size_t dimensions, UMicroOptions options)
   UMICRO_CHECK(options_.decay_lambda >= 0.0);
   UMICRO_CHECK(options_.eviction_horizon >= 0.0);
   UMICRO_CHECK(options_.variance_refresh_interval > 0);
-  clusters_.reserve(options_.num_micro_clusters + 1);
   table_.Reserve(options_.num_micro_clusters + 1);
+  meta_.reserve(options_.num_micro_clusters + 1);
   scores_scratch_.reserve(options_.num_micro_clusters + 1);
   // The candidate index serves only the expected-distance similarity:
   // the dimension-counting vote has no safe Euclidean pruning bound (a
@@ -103,15 +103,17 @@ void UMicro::ApplyDecay(double now) {
     // factor would leave denormal dust (or trip the scale kernel's
     // positivity contract), so the cluster set is dropped outright --
     // the stream effectively restarts after the gap.
-    clusters_.clear();
     table_.Reset(dimensions_);
+    meta_.clear();
     if (assign_index_ != nullptr) assign_index_->Invalidate();
     last_decay_time_ = now;
     return;
   }
-  for (auto& cluster : clusters_) cluster.Decay(factor);
-  // Mirror the decay in the SoA table (bit-identical scale kernel).
   table_.ScaleAll(factor);
+  // The evaluation histograms carry the same weighting as the statistics.
+  for (RowMeta& row : meta_) {
+    for (auto& [label, w] : row.labels) w *= factor;
+  }
   // Centroids are scale-invariant in real arithmetic; the index accounts
   // the few-ulp re-derivation wobble per scale event.
   if (assign_index_ != nullptr) assign_index_->NoteScale();
@@ -129,13 +131,27 @@ void UMicro::UpdateGlobalVariances(const stream::UncertainPoint& point) {
     }
     case VarianceSource::kClusterAggregate: {
       if (points_processed_ % options_.variance_refresh_interval != 0 &&
-          !clusters_.empty()) {
+          table_.rows() != 0) {
         return;
       }
-      // Sum every micro-cluster's CF vector into one global feature
-      // vector and apply the BIRCH variance formula (the paper's recipe).
-      ErrorClusterFeature global(dimensions_);
-      for (const auto& cluster : clusters_) global.Merge(cluster.ecf);
+      // Sum every micro-cluster's CF vectors, in row order, into one
+      // global feature vector and apply the BIRCH variance formula (the
+      // paper's recipe).
+      std::vector<double> cf1(dimensions_, 0.0);
+      std::vector<double> cf2(dimensions_, 0.0);
+      double weight = 0.0;
+      for (std::size_t i = 0; i < table_.rows(); ++i) {
+        const double* row_cf1 = table_.cf1_row(i);
+        const double* row_cf2 = table_.cf2_row(i);
+        for (std::size_t j = 0; j < dimensions_; ++j) {
+          cf1[j] += row_cf1[j];
+          cf2[j] += row_cf2[j];
+        }
+        weight += table_.weight(i);
+      }
+      // The BIRCH formula reads no error statistics.
+      const EcfView global(cf1.data(), cf2.data(), nullptr, weight,
+                           dimensions_);
       if (global.empty()) return;
       for (std::size_t j = 0; j < dimensions_; ++j) {
         global_variances_[j] = global.VarianceAt(j);
@@ -150,8 +166,7 @@ void UMicro::UpdateGlobalVariances(const stream::UncertainPoint& point) {
 }
 
 std::size_t UMicro::FindClosest(const stream::UncertainPoint& point) const {
-  UMICRO_DCHECK(!clusters_.empty());
-  UMICRO_DCHECK(table_.rows() == clusters_.size());
+  UMICRO_DCHECK(table_.rows() != 0);
   const std::size_t q = table_.rows();
   const bool counting =
       options_.similarity == SimilarityMode::kDimensionCounting;
@@ -204,10 +219,11 @@ std::size_t UMicro::FindClosest(const stream::UncertainPoint& point) const {
 }
 
 double UMicro::UncertaintyBoundary(std::size_t index) const {
-  const MicroCluster& cluster = clusters_[index];
-  if (cluster.ecf.weight() >= 2.0) {
+  const EcfView cluster = RowView(index);
+  if (cluster.weight >= 2.0) {
     const double own_radius =
-        options_.boundary_factor * cluster.ecf.UncertainRadius();
+        options_.boundary_factor *
+        std::sqrt(cluster.UncertainRadiusSquared());
     if (own_radius > 0.0) return own_radius;
   }
 
@@ -221,14 +237,14 @@ double UMicro::UncertaintyBoundary(std::size_t index) const {
   // measure against the boundary is 0: a lone singleton absorbs only
   // exact duplicates and the cluster set can grow from the start.
   double nearest = 0.0;
-  if (clusters_.size() > 1) {
+  if (table_.rows() > 1) {
     double nearest_d2 = std::numeric_limits<double>::infinity();
-    const double n_self = cluster.ecf.weight();
-    const double* cf1_self = cluster.ecf.cf1().data();
-    for (std::size_t i = 0; i < clusters_.size(); ++i) {
+    const double n_self = cluster.weight;
+    const double* cf1_self = cluster.cf1;
+    for (std::size_t i = 0; i < table_.rows(); ++i) {
       if (i == index) continue;
-      const double n_other = clusters_[i].ecf.weight();
-      const double* cf1_other = clusters_[i].ecf.cf1().data();
+      const double n_other = table_.weight(i);
+      const double* cf1_other = table_.cf1_row(i);
       double d2 = 0.0;
       for (std::size_t j = 0; j < dimensions_; ++j) {
         const double diff = cf1_self[j] / n_self - cf1_other[j] / n_other;
@@ -243,7 +259,7 @@ double UMicro::UncertaintyBoundary(std::size_t index) const {
 
 bool UMicro::ShouldAbsorb(const stream::UncertainPoint& point,
                           std::size_t index) const {
-  const MicroCluster& cluster = clusters_[index];
+  const EcfView cluster = RowView(index);
   const double boundary = UncertaintyBoundary(index);
 
   if (options_.distance_form == DistanceForm::kPaperExpected) {
@@ -251,8 +267,7 @@ bool UMicro::ShouldAbsorb(const stream::UncertainPoint& point,
     // standard deviations of the expected point-to-centroid distances
     // (Eq. 6). Under strong noise this over-absorbs, since the boundary
     // carries t^2 times the error mass the distance does.
-    return std::sqrt(ExpectedSquaredDistance(point, cluster.ecf)) <=
-           boundary;
+    return std::sqrt(ExpectedSquaredDistance(point, cluster)) <= boundary;
   }
 
   // Bias-corrected (default): the geometric distance between the
@@ -261,8 +276,7 @@ bool UMicro::ShouldAbsorb(const stream::UncertainPoint& point,
   // Eq. 6), which is error-aware: heavily uncertain clusters accept a
   // wider neighborhood, but the acceptance test itself cannot be gamed
   // by the point's or the cluster's error mass.
-  return std::sqrt(GeometricSquaredDistance(point, cluster.ecf)) <=
-         boundary;
+  return std::sqrt(GeometricSquaredDistance(point, cluster)) <= boundary;
 }
 
 void UMicro::Process(const stream::UncertainPoint& point) {
@@ -275,6 +289,13 @@ void UMicro::ProcessBatch(std::span<const stream::UncertainPoint> points) {
   BatchCounters counters;
   for (const auto& point : points) ProcessOne(point, &counters);
   FlushCounters(counters, points.size());
+  if (process_micros_ != nullptr) {
+    // One observation per point, each the batch's mean, so the
+    // histogram's count is the points processed on every path.
+    process_micros_->Record(
+        timer.ElapsedMicros() / static_cast<double>(points.size()),
+        points.size());
+  }
 }
 
 UMicro::ProcessOutcome UMicro::ProcessAndExplain(
@@ -292,19 +313,20 @@ UMicro::ProcessOutcome UMicro::ProcessOne(const stream::UncertainPoint& point,
                    "point has %zu dimensions, algorithm expects %zu",
                    point.dimensions(), dimensions_);
   ++points_processed_;
+  view_stale_ = true;
   ApplyDecay(point.timestamp);
   UpdateGlobalVariances(point);
 
   const double* errors =
       point.errors.empty() ? nullptr : point.errors.data();
   ProcessOutcome outcome;
-  if (!clusters_.empty()) {
+  if (table_.rows() != 0) {
     // One similarity-kernel scan per live cluster: the per-point cost of
     // the expected-distance kernel, in units of cluster comparisons.
-    counters->scans += clusters_.size();
+    counters->scans += table_.rows();
     const std::size_t closest = FindClosest(point);
     outcome.expected_distance =
-        std::sqrt(ExpectedSquaredDistance(point, clusters_[closest].ecf));
+        std::sqrt(ExpectedSquaredDistance(point, RowView(closest)));
     if (ShouldAbsorb(point, closest)) {
       if (assign_index_ != nullptr) {
         // Folding a unit-weight point moves the centroid by exactly
@@ -320,23 +342,30 @@ UMicro::ProcessOutcome UMicro::ProcessOne(const stream::UncertainPoint& point,
                                  std::sqrt(d2) /
                                      (table_.weight(closest) + 1.0));
       }
-      clusters_[closest].AddPoint(point);
       table_.AddPoint(closest, point.values.data(), errors, 1.0);
+      RowMeta& row = meta_[closest];
+      row.last_update_time = std::max(row.last_update_time, point.timestamp);
+      if (point.label != stream::kUnlabeled) row.labels[point.label] += 1.0;
       outcome.absorbed = true;
-      outcome.cluster_id = clusters_[closest].id;
+      outcome.cluster_id = row.id;
       ++counters->absorbed;
       return outcome;
     }
   }
 
-  clusters_.emplace_back(next_cluster_id_++, point);
   table_.PushPointRow(point.values.data(), errors, 1.0);
+  // t(C) starts at 0 and advances by max(), as a fresh ECF's does.
+  RowMeta& row = meta_.emplace_back();
+  row.id = next_cluster_id_++;
+  row.creation_time = point.timestamp;
+  row.last_update_time = std::max(0.0, point.timestamp);
+  if (point.label != stream::kUnlabeled) row.labels[point.label] += 1.0;
   if (assign_index_ != nullptr) assign_index_->NoteAppend();
   ++clusters_created_;
   ++counters->created;
   outcome.absorbed = false;
-  outcome.cluster_id = clusters_.back().id;
-  if (clusters_.size() > options_.num_micro_clusters) {
+  outcome.cluster_id = row.id;
+  if (table_.rows() > options_.num_micro_clusters) {
     RetireOneCluster(point.timestamp);
   }
   return outcome;
@@ -355,7 +384,7 @@ void UMicro::FlushCounters(const BatchCounters& counters,
     created_metric_->Increment(counters.created);
   }
   if (live_clusters_metric_ != nullptr && counters.created > 0) {
-    live_clusters_metric_->Set(static_cast<double>(clusters_.size()));
+    live_clusters_metric_->Set(static_cast<double>(table_.rows()));
   }
   if (assign_index_ != nullptr && index_queries_metric_ != nullptr) {
     const index::IndexStats& stats = assign_index_->stats();
@@ -388,15 +417,11 @@ void UMicro::RetireOneCluster(double now) {
   // the CluStream framework this algorithm extends); the additive
   // property makes the merge exact.
   std::size_t lru = 0;
-  for (std::size_t i = 1; i < clusters_.size(); ++i) {
-    if (clusters_[i].ecf.last_update_time() <
-        clusters_[lru].ecf.last_update_time()) {
-      lru = i;
-    }
+  for (std::size_t i = 1; i < meta_.size(); ++i) {
+    if (meta_[i].last_update_time < meta_[lru].last_update_time) lru = i;
   }
-  if (clusters_[lru].ecf.last_update_time() <
-      now - options_.eviction_horizon) {
-    clusters_.erase(clusters_.begin() + static_cast<std::ptrdiff_t>(lru));
+  if (meta_[lru].last_update_time < now - options_.eviction_horizon) {
+    meta_.erase(meta_.begin() + static_cast<std::ptrdiff_t>(lru));
     table_.RemoveRow(lru);
     // Row ids shifted: the index snapshot is stale, rebuild lazily.
     if (assign_index_ != nullptr) assign_index_->Invalidate();
@@ -416,22 +441,23 @@ void UMicro::RetireOneCluster(double now) {
     kernels::ClosestCentroidPair(table_, table_.backend(), &best_a, &best_b,
                                  &best_d2);
   }
-  MicroCluster& into = clusters_[best_a];
-  MicroCluster& from = clusters_[best_b];
+  RowMeta& into = meta_[best_a];
+  RowMeta& from = meta_[best_b];
   // The merged cluster continues under the heavier constituent's
   // identity; the lighter id disappears, which horizon subtraction
   // treats as a removed cluster (documented approximation).
-  if (from.ecf.weight() > into.ecf.weight()) {
+  if (table_.weight(best_b) > table_.weight(best_a)) {
     std::swap(into.id, from.id);
     std::swap(into.creation_time, from.creation_time);
   }
   into.creation_time = std::min(into.creation_time, from.creation_time);
-  into.ecf.Merge(from.ecf);
+  into.last_update_time =
+      std::max(into.last_update_time, from.last_update_time);
   table_.MergeRows(best_a, best_b);
   for (const auto& [label, weight] : from.labels) {
     into.labels[label] += weight;
   }
-  clusters_.erase(clusters_.begin() + static_cast<std::ptrdiff_t>(best_b));
+  meta_.erase(meta_.begin() + static_cast<std::ptrdiff_t>(best_b));
   table_.RemoveRow(best_b);
   // The merged row jumped position and the rest shifted: rebuild lazily.
   if (assign_index_ != nullptr) assign_index_->Invalidate();
@@ -439,9 +465,49 @@ void UMicro::RetireOneCluster(double now) {
   if (merged_metric_ != nullptr) merged_metric_->Increment();
 }
 
+EcfView UMicro::RowView(std::size_t i) const {
+  return EcfView(table_.cf1_row(i), table_.cf2_row(i), table_.ef2_row(i),
+                 table_.weight(i), dimensions_);
+}
+
+ErrorClusterFeature UMicro::MaterializeEcf(std::size_t i) const {
+  const std::size_t d = dimensions_;
+  return ErrorClusterFeature::FromRaw(
+      std::vector<double>(table_.cf1_row(i), table_.cf1_row(i) + d),
+      std::vector<double>(table_.cf2_row(i), table_.cf2_row(i) + d),
+      std::vector<double>(table_.ef2_row(i), table_.ef2_row(i) + d),
+      table_.weight(i), meta_[i].last_update_time);
+}
+
+MicroCluster UMicro::MaterializeRow(std::size_t i) const {
+  MicroCluster cluster;
+  cluster.id = meta_[i].id;
+  cluster.creation_time = meta_[i].creation_time;
+  cluster.ecf = MaterializeEcf(i);
+  cluster.labels = meta_[i].labels;
+  return cluster;
+}
+
+std::vector<MicroCluster> UMicro::CopyClusters() const {
+  std::vector<MicroCluster> clusters;
+  clusters.reserve(table_.rows());
+  for (std::size_t i = 0; i < table_.rows(); ++i) {
+    clusters.push_back(MaterializeRow(i));
+  }
+  return clusters;
+}
+
+const std::vector<MicroCluster>& UMicro::clusters() const {
+  if (view_stale_) {
+    view_ = CopyClusters();
+    view_stale_ = false;
+  }
+  return view_;
+}
+
 UMicroState UMicro::ExportState() const {
   UMicroState state;
-  state.clusters = clusters_;
+  state.clusters = CopyClusters();
   state.welford.reserve(welford_.size());
   for (const auto& acc : welford_) {
     state.welford.push_back({acc.count(), acc.Mean(), acc.m2()});
@@ -465,16 +531,18 @@ void UMicro::RestoreState(const UMicroState& state) {
   for (const auto& cluster : state.clusters) {
     UMICRO_CHECK(cluster.ecf.dimensions() == dimensions_);
   }
-  clusters_ = state.clusters;
-  // Rebuild the SoA mirror from the restored structs (raw copies, so
-  // mirror and structs start out bit-identical again).
   table_.Reset(dimensions_);
-  table_.Reserve(clusters_.size());
-  for (const auto& cluster : clusters_) {
+  table_.Reserve(state.clusters.size());
+  meta_.clear();
+  meta_.reserve(state.clusters.size());
+  for (const auto& cluster : state.clusters) {
     table_.PushRow(cluster.ecf.cf1().data(), cluster.ecf.cf2().data(),
                    cluster.ecf.ef2().data(), cluster.ecf.weight());
+    meta_.push_back({cluster.id, cluster.creation_time,
+                     cluster.ecf.last_update_time(), cluster.labels});
   }
-  // Whatever the index had mirrored is gone with the old table.
+  view_stale_ = true;
+  // Whatever the index had snapshotted is gone with the old table.
   if (assign_index_ != nullptr) assign_index_->Invalidate();
   welford_.clear();
   welford_.reserve(state.welford.size());
@@ -498,16 +566,20 @@ void UMicro::RestoreState(const UMicroState& state) {
 
 std::vector<stream::LabelHistogram> UMicro::ClusterLabelHistograms() const {
   std::vector<stream::LabelHistogram> histograms;
-  histograms.reserve(clusters_.size());
-  for (const auto& cluster : clusters_) histograms.push_back(cluster.labels);
+  histograms.reserve(meta_.size());
+  for (const RowMeta& row : meta_) histograms.push_back(row.labels);
   return histograms;
 }
 
 std::vector<std::vector<double>> UMicro::ClusterCentroids() const {
   std::vector<std::vector<double>> centroids;
-  centroids.reserve(clusters_.size());
-  for (const auto& cluster : clusters_) {
-    if (!cluster.ecf.empty()) centroids.push_back(cluster.ecf.Centroid());
+  centroids.reserve(table_.rows());
+  for (std::size_t i = 0; i < table_.rows(); ++i) {
+    const double n = table_.weight(i);
+    if (n <= 0.0) continue;
+    const double* cf1 = table_.cf1_row(i);
+    std::vector<double>& centroid = centroids.emplace_back(dimensions_);
+    for (std::size_t j = 0; j < dimensions_; ++j) centroid[j] = cf1[j] / n;
   }
   return centroids;
 }
@@ -515,12 +587,12 @@ std::vector<std::vector<double>> UMicro::ClusterCentroids() const {
 Snapshot UMicro::TakeSnapshot(double time) const {
   Snapshot snapshot;
   snapshot.time = time;
-  snapshot.clusters.reserve(clusters_.size());
-  for (const auto& cluster : clusters_) {
+  snapshot.clusters.reserve(table_.rows());
+  for (std::size_t i = 0; i < table_.rows(); ++i) {
     MicroClusterState state;
-    state.id = cluster.id;
-    state.creation_time = cluster.creation_time;
-    state.ecf = cluster.ecf;
+    state.id = meta_[i].id;
+    state.creation_time = meta_[i].creation_time;
+    state.ecf = MaterializeEcf(i);
     snapshot.clusters.push_back(std::move(state));
   }
   return snapshot;

@@ -146,7 +146,8 @@ class UMicro : public stream::StreamClusterer {
   /// Batched ingest: processes the points strictly in order with exactly
   /// the per-point semantics of Process (each decision sees the state
   /// left by its predecessors), but amortizes the timer and metric
-  /// traffic over the whole batch.
+  /// traffic over the whole batch (umicro.process_micros receives the
+  /// batch's mean per-point time once per point).
   void ProcessBatch(std::span<const stream::UncertainPoint> points) override;
   std::string name() const override;
 
@@ -156,8 +157,20 @@ class UMicro : public stream::StreamClusterer {
   std::vector<stream::LabelHistogram> ClusterLabelHistograms() const override;
   std::vector<std::vector<double>> ClusterCentroids() const override;
 
-  /// Live micro-clusters (inspection / offline macro-clustering input).
-  const std::vector<MicroCluster>& clusters() const { return clusters_; }
+  /// Live micro-clusters (inspection / offline macro-clustering input),
+  /// materialized from the cluster table on the first call after a
+  /// mutation and cached until the next one. The reference stays valid
+  /// until the next mutating call; concurrent callers need the same
+  /// external lock that guards mutation.
+  const std::vector<MicroCluster>& clusters() const;
+
+  /// The live micro-clusters as a value copy, materialized straight from
+  /// the cluster table without filling clusters()' cache (the shard
+  /// merge takes ownership of it).
+  std::vector<MicroCluster> CopyClusters() const;
+
+  /// Number of live micro-clusters.
+  std::size_t num_clusters() const { return table_.rows(); }
 
   /// Current global per-dimension variance estimates.
   const std::vector<double>& global_variances() const {
@@ -225,8 +238,8 @@ class UMicro : public stream::StreamClusterer {
   /// Pushes a batch's tallied events to the attached registry.
   void FlushCounters(const BatchCounters& counters, std::size_t points);
 
-  /// Index of the closest cluster under the configured similarity;
-  /// clusters_ must be non-empty.
+  /// Index of the closest cluster under the configured similarity; the
+  /// table must be non-empty.
   std::size_t FindClosest(const stream::UncertainPoint& point) const;
 
   /// Critical uncertainty boundary of cluster `index` (Section II-C):
@@ -253,13 +266,37 @@ class UMicro : public stream::StreamClusterer {
   /// Updates global_variances_ according to the configured source.
   void UpdateGlobalVariances(const stream::UncertainPoint& point);
 
+  /// The raw statistics of table row `i`.
+  EcfView RowView(std::size_t i) const;
+
+  /// Row `i`'s statistics as a value-type ECF (snapshots).
+  ErrorClusterFeature MaterializeEcf(std::size_t i) const;
+
+  /// Row `i` as a value-type micro-cluster (checkpoints, clusters()).
+  MicroCluster MaterializeRow(std::size_t i) const;
+
+  /// Per-row bookkeeping the table does not hold (row i <-> meta_[i]).
+  struct RowMeta {
+    /// Stable identity across snapshots (MicroCluster::id).
+    std::uint64_t id = 0;
+    /// Timestamp of the creating point.
+    double creation_time = 0.0;
+    /// t(C): the newest timestamp folded into the row.
+    double last_update_time = 0.0;
+    /// Evaluation-only ground-truth histogram, scaled with decay.
+    stream::LabelHistogram labels;
+  };
+
   const std::size_t dimensions_;
   const UMicroOptions options_;
 
-  std::vector<MicroCluster> clusters_;
-  /// SoA mirror of clusters_ (row i <-> clusters_[i]), kept bit-identical
-  /// through the fused update kernels; all batch scans read it.
+  /// The micro-clusters' ECF statistics: the only copy. All scans and
+  /// the absorb/boundary/merge decisions read its rows.
   kernels::ClusterTable table_;
+  std::vector<RowMeta> meta_;
+  /// clusters()' materialized view; rebuilt when `view_stale_`.
+  mutable std::vector<MicroCluster> view_;
+  mutable bool view_stale_ = true;
   std::vector<util::WelfordAccumulator> welford_;
   std::vector<double> global_variances_;
   /// Cached 1/(thresh * sigma_j^2) (0 where sigma_j^2 == 0), refreshed

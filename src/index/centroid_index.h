@@ -12,8 +12,8 @@
 //     where D2_i is the geometric (centroid) term, s_i >= 0 is the
 //     cluster-error constant sum_j EF2_j/n^2 read live from the
 //     ClusterTable, and psi2 >= 0 is the same point constant for every
-//     row. The index lower-bounds D2_i from the snapshot (bounding-box
-//     or triangle-inequality geometry), deflated by a per-row *drift
+//     row. The index lower-bounds D2_i from the snapshot (kd-tree
+//     bounding-box geometry), deflated by a per-row *drift
 //     bound* (the centroids move as points are absorbed; every move is
 //     reported through NoteDrift) and inflated floating-point margins,
 //     and prunes row i only when that bound exceeds a proven upper
@@ -48,16 +48,13 @@ enum class IndexKind {
   kFlat,
   /// Median-split kd-tree over the snapshot centroids.
   kKdTree,
-  /// Quantized coarse centers (~sqrt(q) groups, IVF-style) with
-  /// per-member radii and triangle-inequality bounds.
-  kCoarse,
   /// kKdTree gated to engage only once q is large enough to win
   /// (min_rows = 64); below that every query falls back to the flat
   /// scan.
   kAuto,
 };
 
-/// "flat" | "kdtree" | "coarse" | "auto".
+/// "flat" | "kdtree" | "auto".
 const char* IndexKindName(IndexKind kind);
 
 /// Inverse of IndexKindName; nullopt for unknown names.
@@ -101,7 +98,7 @@ class CentroidIndex {
   CentroidIndex(const CentroidIndex&) = delete;
   CentroidIndex& operator=(const CentroidIndex&) = delete;
 
-  /// Backend name ("kdtree" | "coarse").
+  /// Backend name ("kdtree").
   virtual const char* name() const = 0;
 
   // ---- O(1) owner hooks: every table mutation is reported -----------
@@ -163,8 +160,8 @@ class CentroidIndex {
   // ---- Snapshot + bound helpers shared by backends -------------------
 
   /// Called after NoteDrift updates a built row's drift bound; backends
-  /// override to keep finer-grained (per-subtree / per-group) drift
-  /// maxima current in O(depth) or O(1).
+  /// override to keep finer-grained (per-subtree) drift maxima current
+  /// in O(depth).
   virtual void DriftUpdated(std::size_t /*row*/) {}
 
   std::size_t built_rows() const { return built_rows_; }
@@ -191,11 +188,6 @@ class CentroidIndex {
     return drift_[row] + query_scale_ulp_ * snap_norm_[row];
   }
 
-  /// Max of QueryDrift over all built rows (node-level slack).
-  double MaxQueryDrift() const {
-    return max_drift_ + query_scale_ulp_ * max_norm_;
-  }
-
   /// score_row >= RowLower: snapshot distance deflated by margins and
   /// drift, squared, plus the live cluster-error constant `s`.
   double RowLower(std::size_t row, double snap_dist, double s) const {
@@ -210,7 +202,7 @@ class CentroidIndex {
     return hi * hi * (1.0 + kRelMargin) + s;
   }
 
-  /// The pruning threshold: rows (and nodes/groups) whose lower bound
+  /// The pruning threshold: rows (and nodes) whose lower bound
   /// exceeds this cannot round to a kernel score at or below the
   /// winner's. The absolute (upper + psi2) term keeps ties safe even
   /// when psi2 dwarfs the distances (e.g. an exact duplicate of a

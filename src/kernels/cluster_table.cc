@@ -131,7 +131,6 @@ void ClusterTable::Reset(std::size_t dimensions) {
   centroid_.clear();
   ef2n2_.clear();
   weight_.clear();
-  inv_weight_.clear();
   ef2n2_sum_.clear();
 }
 
@@ -142,7 +141,6 @@ void ClusterTable::Reserve(std::size_t rows) {
   centroid_.reserve(rows * stride_);
   ef2n2_.reserve(rows * stride_);
   weight_.reserve(rows);
-  inv_weight_.reserve(rows);
   ef2n2_sum_.reserve(rows);
 }
 
@@ -155,7 +153,6 @@ void ClusterTable::PushRow(const double* cf1, const double* cf2,
   centroid_.resize((rows_ + 1) * stride_, 0.0);
   ef2n2_.resize((rows_ + 1) * stride_, 0.0);
   weight_.push_back(weight);
-  inv_weight_.push_back(0.0);
   ef2n2_sum_.push_back(0.0);
   double* c1 = &cf1_[rows_ * stride_];
   double* c2 = &cf2_[rows_ * stride_];
@@ -179,30 +176,11 @@ void ClusterTable::PushPointRow(const double* values, const double* errors,
   centroid_.resize((rows_ + 1) * stride_, 0.0);
   ef2n2_.resize((rows_ + 1) * stride_, 0.0);
   weight_.push_back(0.0);
-  inv_weight_.push_back(0.0);
   ef2n2_sum_.push_back(0.0);
   ++rows_;
   // Zero row + fused add reproduces the exact operation sequence a
   // fresh ErrorClusterFeature sees when absorbing its first point.
   AddPoint(rows_ - 1, values, errors, weight);
-}
-
-void ClusterTable::SetRow(std::size_t i, const double* cf1,
-                          const double* cf2, const double* ef2,
-                          double weight) {
-  UMICRO_DCHECK(i < rows_);
-  UMICRO_CHECK(weight > 0.0);
-  double* c1 = &cf1_[i * stride_];
-  double* c2 = &cf2_[i * stride_];
-  double* e2 = &ef2_[i * stride_];
-  std::memcpy(c1, cf1, dims_ * sizeof(double));
-  std::memcpy(c2, cf2, dims_ * sizeof(double));
-  std::memcpy(e2, ef2, dims_ * sizeof(double));
-  std::fill(c1 + dims_, c1 + stride_, 0.0);
-  std::fill(c2 + dims_, c2 + stride_, 0.0);
-  std::fill(e2 + dims_, e2 + stride_, 0.0);
-  weight_[i] = weight;
-  RefreshDerived(i);
 }
 
 void ClusterTable::AddPoint(std::size_t i, const double* values,
@@ -296,8 +274,6 @@ void ClusterTable::RemoveRow(std::size_t i) {
     std::memmove(&ef2n2_[i * stride_], &ef2n2_[(i + 1) * stride_],
                  tail * sizeof(double));
     std::memmove(&weight_[i], &weight_[i + 1], tail_rows * sizeof(double));
-    std::memmove(&inv_weight_[i], &inv_weight_[i + 1],
-                 tail_rows * sizeof(double));
     std::memmove(&ef2n2_sum_[i], &ef2n2_sum_[i + 1],
                  tail_rows * sizeof(double));
   }
@@ -308,14 +284,12 @@ void ClusterTable::RemoveRow(std::size_t i) {
   centroid_.resize(rows_ * stride_);
   ef2n2_.resize(rows_ * stride_);
   weight_.resize(rows_);
-  inv_weight_.resize(rows_);
   ef2n2_sum_.resize(rows_);
 }
 
 void ClusterTable::RefreshDerived(std::size_t i) {
   const double inv_n = 1.0 / weight_[i];
   const double inv_n2 = inv_n * inv_n;
-  inv_weight_[i] = inv_n;
   const double* c1 = &cf1_[i * stride_];
   const double* e2 = &ef2_[i * stride_];
   double* centroid = &centroid_[i * stride_];

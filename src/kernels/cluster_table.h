@@ -1,30 +1,31 @@
-// Structure-of-arrays mirror of the live micro-cluster set.
+// Structure-of-arrays store of the live micro-cluster statistics.
 //
 // The UMicro hot path evaluates every arriving point against all q
 // micro-clusters (expected distance / dimension-counting similarity,
-// Lemmas 2.1/2.2). With the clusters stored as an array of
-// ErrorClusterFeature structs that scan chases q heap-allocated vectors
-// per point; this table keeps the same statistics as q contiguous,
-// zero-padded rows so the scan kernels stream through memory and
-// vectorize.
+// Lemmas 2.1/2.2). This table holds the clusters' ECF statistics as q
+// contiguous, zero-padded rows so the scan kernels stream through memory
+// and vectorize. It is the sole owner of that state inside core::UMicro;
+// value types (core::ErrorClusterFeature / core::MicroCluster) are
+// materialized from the rows only at the edges -- snapshots,
+// checkpoints, shard merges and UMicro::clusters().
 //
 // Per cluster row i (stride-padded, zeros beyond `dims`):
-//   cf1[i][j]       first moments          (authoritative mirror)
-//   cf2[i][j]       second moments         (authoritative mirror)
-//   ef2[i][j]       squared-error sums     (authoritative mirror)
-//   centroid[i][j]  cf1[j] / n             (derived, scan input)
+//   cf1[i][j]       first moments          (state)
+//   cf2[i][j]       second moments         (state)
+//   ef2[i][j]       squared-error sums     (state)
+//   centroid[i][j]  cf1[j] * (1/n)         (derived, scan input)
 //   ef2n2[i][j]     ef2[j] / n^2           (derived, scan input)
-// plus per-cluster scalars: weight n, 1/n, and sum_j ef2n2[j] (the
+// plus per-cluster scalars: weight n (state) and sum_j ef2n2[j] (the
 // cluster-error constant of the expected distance).
 //
-// Synchronization contract: the owner (core::UMicro) applies every
-// mutation of a cluster's ECF to the same row here, through the fused
-// update entry points below. Those updates perform the identical IEEE
-// multiply-then-add sequence as ErrorClusterFeature, so mirror and
-// struct stay bit-identical -- checkpoints keep serializing the structs
-// and remain byte-compatible ("ucheckpoint 2"). The derived rows are
-// refreshed by shared (tier-independent) code so every backend sees the
-// same scan inputs.
+// The update entry points below perform the same IEEE multiply-then-add
+// sequence as ErrorClusterFeature, on every backend, so a row evolves
+// bit-identically to the value type fed the same updates -- which keeps
+// the "ucheckpoint 2" payloads, serialized from materialized value types,
+// byte-compatible. The derived rows are refreshed by shared
+// (tier-independent) code so every backend sees the same scan inputs;
+// they round differently from `cf1[j] / n`, so formulas that must match
+// the value type read the state rows, not the derived ones.
 
 #ifndef UMICRO_KERNELS_CLUSTER_TABLE_H_
 #define UMICRO_KERNELS_CLUSTER_TABLE_H_
@@ -36,7 +37,7 @@
 
 namespace umicro::kernels {
 
-/// Contiguous SoA view of q micro-clusters' ECF statistics.
+/// Contiguous SoA store of q micro-clusters' ECF statistics.
 class ClusterTable {
  public:
   ClusterTable() = default;
@@ -60,10 +61,6 @@ class ClusterTable {
   void PushPointRow(const double* values, const double* errors,
                     double weight);
 
-  /// Overwrites row `i` from raw ECF statistics.
-  void SetRow(std::size_t i, const double* cf1, const double* cf2,
-              const double* ef2, double weight);
-
   /// Fused ECF update: folds one weighted point into row `i` (CF1 += w*x,
   /// CF2 += w*x^2, EF2 += w*psi^2, n += w) and refreshes the derived
   /// rows, in one pass. Bit-identical to ErrorClusterFeature::AddPoint.
@@ -81,7 +78,7 @@ class ClusterTable {
   void MergeRows(std::size_t into, std::size_t from);
 
   /// Removes row `i`, shifting later rows down (order-preserving, so row
-  /// indices keep matching the owner's cluster vector).
+  /// indices keep matching the owner's per-row bookkeeping).
   void RemoveRow(std::size_t i);
 
   /// Number of live rows q.
@@ -112,9 +109,6 @@ class ClusterTable {
   /// Cluster weight n(C) of row `i`.
   double weight(std::size_t i) const { return weight_[i]; }
 
-  /// Cached 1/n of row `i`.
-  double inv_weight(std::size_t i) const { return inv_weight_[i]; }
-
   /// Cached sum_j EF2_j/n^2 of row `i` (Lemma 2.1's cluster-error term).
   double ef2n2_sum(std::size_t i) const { return ef2n2_sum_[i]; }
 
@@ -123,8 +117,8 @@ class ClusterTable {
   const double* centroid_data() const { return centroid_.data(); }
 
  private:
-  /// Recomputes the derived rows (centroid, ef2n2, ef2n2_sum, 1/n) of
-  /// row `i`. Shared scalar code so every backend derives identical
+  /// Recomputes the derived rows (centroid, ef2n2, ef2n2_sum) of row
+  /// `i`. Shared scalar code so every backend derives identical
   /// scan inputs.
   void RefreshDerived(std::size_t i);
 
@@ -139,7 +133,6 @@ class ClusterTable {
   std::vector<double> centroid_;
   std::vector<double> ef2n2_;
   std::vector<double> weight_;
-  std::vector<double> inv_weight_;
   std::vector<double> ef2n2_sum_;
 
   // Padded staging buffers for AddPoint (point values and pre-weighted

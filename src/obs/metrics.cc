@@ -21,14 +21,17 @@ Histogram::Histogram(std::vector<double> bounds)
   }
 }
 
-void Histogram::Record(double value) {
+void Histogram::Record(double value) { Record(value, 1); }
+
+void Histogram::Record(double value, std::uint64_t times) {
+  if (times == 0) return;
   const std::size_t bucket =
       static_cast<std::size_t>(std::lower_bound(bounds_.begin(),
                                                 bounds_.end(), value) -
                                bounds_.begin());
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(sum_, value);
+  buckets_[bucket].fetch_add(times, std::memory_order_relaxed);
+  count_.fetch_add(times, std::memory_order_relaxed);
+  AtomicAdd(sum_, value * static_cast<double>(times));
   AtomicMin(min_, value);
   AtomicMax(max_, value);
 }

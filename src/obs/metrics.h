@@ -119,6 +119,9 @@ class Histogram {
   /// Folds one observation into the distribution.
   void Record(double value);
 
+  /// Folds `times` identical observations of `value` in one update.
+  void Record(double value, std::uint64_t times);
+
   /// Observations recorded so far.
   std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);

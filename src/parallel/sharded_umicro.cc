@@ -316,8 +316,9 @@ void ShardedUMicro::RebuildGlobalView() {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.state_mu);
     shard.clusters_at_merge->Set(
-        static_cast<double>(shard.algo.clusters().size()));
-    shard_sets[i] = shard.algo.clusters();
+        static_cast<double>(shard.algo.num_clusters()));
+    // One materialization per merge; the shard keeps no cached copy.
+    shard_sets[i] = shard.algo.CopyClusters();
   }
   ShardMergeOptions merge_options;
   merge_options.dimensions = dimensions_;

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "index/coarse_index.h"
 #include "index/kdtree_index.h"
 #include "kernels/kernels.h"
 #include "util/random.h"
@@ -90,26 +89,26 @@ void ExpectShortlistSafe(CentroidIndex* index, const ClusterTable& table,
 }
 
 TEST(CentroidIndexTest, ParseAndNameRoundTrip) {
-  for (const IndexKind kind : {IndexKind::kFlat, IndexKind::kKdTree,
-                               IndexKind::kCoarse, IndexKind::kAuto}) {
+  for (const IndexKind kind :
+       {IndexKind::kFlat, IndexKind::kKdTree, IndexKind::kAuto}) {
     const auto parsed = ParseIndexKind(IndexKindName(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(ParseIndexKind("ivf").has_value());
+  EXPECT_FALSE(ParseIndexKind("coarse").has_value());
   EXPECT_FALSE(ParseIndexKind("").has_value());
 }
 
 TEST(CentroidIndexTest, FlatKindMakesNoIndex) {
   EXPECT_EQ(MakeCentroidIndex(IndexKind::kFlat), nullptr);
   EXPECT_NE(MakeCentroidIndex(IndexKind::kKdTree), nullptr);
-  EXPECT_NE(MakeCentroidIndex(IndexKind::kCoarse), nullptr);
   EXPECT_NE(MakeCentroidIndex(IndexKind::kAuto), nullptr);
 }
 
 TEST(CentroidIndexTest, ShortlistContainsWinnerRandomized) {
   util::Rng rng(101);
-  for (const IndexKind kind : {IndexKind::kKdTree, IndexKind::kCoarse}) {
+  for (const IndexKind kind : {IndexKind::kKdTree}) {
     SCOPED_TRACE(IndexKindName(kind));
     for (const std::size_t rows : {2u, 3u, 17u, 64u, 257u}) {
       for (const std::size_t dims : {1u, 2u, 7u, 16u, 33u}) {
@@ -124,12 +123,12 @@ TEST(CentroidIndexTest, ShortlistContainsWinnerRandomized) {
 
 TEST(CentroidIndexTest, AllRowsIdentical) {
   // Degenerate geometry: every centroid at the same location. The
-  // kd-tree must terminate (zero split extent) and both backends must
-  // still return the first row among the tied winners.
+  // kd-tree must terminate (zero split extent) and still return the
+  // first row among the tied winners.
   util::Rng rng(7);
   std::vector<double> values(4, 3.25);
   std::vector<double> errors(4, 0.1);
-  for (const IndexKind kind : {IndexKind::kKdTree, IndexKind::kCoarse}) {
+  for (const IndexKind kind : {IndexKind::kKdTree}) {
     SCOPED_TRACE(IndexKindName(kind));
     ClusterTable table(4);
     for (int i = 0; i < 100; ++i) {
@@ -144,7 +143,7 @@ TEST(CentroidIndexTest, SurvivesMutationHooks) {
   // Drive the full mutation protocol -- absorb drift, appends, decay
   // scales, removals -- re-checking safety after each phase.
   util::Rng rng(211);
-  for (const IndexKind kind : {IndexKind::kKdTree, IndexKind::kCoarse}) {
+  for (const IndexKind kind : {IndexKind::kKdTree}) {
     SCOPED_TRACE(IndexKindName(kind));
     ClusterTable table = RandomTable(rng, 80, 6, 20.0, 0.5);
     auto index = MakeCentroidIndex(kind);

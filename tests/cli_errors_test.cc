@@ -263,4 +263,65 @@ TEST(CliErrorsTest, UnusableCheckpointDir) {
   std::remove(blocker.c_str());
 }
 
+TEST(CliErrorsTest, NonNumericFlagValues) {
+  // Text, trailing junk, empty values and non-finite reals are rejected
+  // instead of silently reading as 0.
+  ExpectUsageError("--synthetic=syndrift --points=abc",
+                   "invalid --points=abc");
+  ExpectUsageError("--synthetic=syndrift --snapshot-every=abc",
+                   "invalid --snapshot-every=abc");
+  ExpectUsageError("--synthetic=syndrift --points=100x",
+                   "invalid --points=100x");
+  ExpectUsageError("--synthetic=syndrift --points=", "invalid --points=");
+  ExpectUsageError("--synthetic=syndrift --boundary=3.0.1",
+                   "invalid --boundary=3.0.1");
+  ExpectUsageError("--synthetic=syndrift --decay=nan", "invalid --decay=nan");
+  ExpectUsageError("--synthetic=syndrift --fault-seed=0xzz",
+                   "invalid --fault-seed=0xzz");
+}
+
+TEST(CliErrorsTest, NegativeCounts) {
+  // strtoull would wrap "-1" to 2^64 - 1.
+  ExpectUsageError("--synthetic=syndrift --points=-1", "invalid --points=-1");
+  ExpectUsageError("--synthetic=syndrift --nmicro=-5", "invalid --nmicro=-5");
+  ExpectUsageError("--synthetic=syndrift --threads=+2",
+                   "invalid --threads=+2");
+}
+
+TEST(CliErrorsTest, ValuesTheEngineWouldAbortOn) {
+  // Each of these would trip a library CHECK (an abort) if it reached
+  // the engine.
+  ExpectUsageError("--synthetic=syndrift --points=100 --nmicro=0",
+                   "--nmicro");
+  ExpectUsageError("--synthetic=syndrift --points=100 --boundary=-1",
+                   "--boundary");
+  ExpectUsageError("--synthetic=syndrift --points=100 --boundary=0",
+                   "--boundary");
+  ExpectUsageError("--synthetic=syndrift --points=100 --thresh=0",
+                   "--thresh");
+  ExpectUsageError("--synthetic=syndrift --points=100 --decay=-0.5",
+                   "--decay");
+  ExpectUsageError("--synthetic=syndrift --points=100 --eta=-1", "--eta");
+  ExpectUsageError("--synthetic=syndrift --points=100 --sample-interval=0",
+                   "--sample-interval");
+  ExpectUsageError(
+      "--synthetic=syndrift --points=100 --threads=2 --queue-capacity=0",
+      "--queue-capacity");
+}
+
+TEST(CliErrorsTest, UnknownAssignIndex) {
+  // The index kinds are flat, kdtree and auto.
+  ExpectUsageError("--synthetic=syndrift --points=100 --similarity=distance "
+                   "--assign-index=coarse",
+                   "unknown assign index: coarse");
+}
+
+TEST(CliErrorsTest, ValidNumericFormsStillParse) {
+  // Hex seeds, exponents and explicit zeros remain accepted.
+  const CliResult result =
+      RunCli("--synthetic=syndrift --points=200 --decay=1e-3 "
+             "--boundary=2.5 --fault-seed=0x10 --metrics-every=0");
+  EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
+}
+
 }  // namespace

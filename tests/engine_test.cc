@@ -2,7 +2,9 @@
 
 #include "core/engine.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +115,30 @@ TEST(UMicroEngineTest, ProcessMetricsMatchPointsProcessed) {
   (void)engine.ClusterRecent(500.0, macro);
   EXPECT_EQ(metrics.GetCounter("horizon.queries").value(), 1u);
   EXPECT_EQ(metrics.GetHistogram("horizon.macro_micros").count(), 1u);
+}
+
+TEST(UMicroEngineTest, BatchedProcessMetricsMatchPointsProcessed) {
+  // The batched path records umicro.process_micros once per point too
+  // (the batch's mean per-point time), alongside one batch_micros entry
+  // per batch.
+  EngineOptions options;
+  options.snapshot.snapshot_every = 50;
+  UMicroEngine engine(2, options);
+  const stream::Dataset dataset = PhasedBlobs(1000, 5);
+  const std::span<const UncertainPoint> points(dataset.points());
+  for (std::size_t offset = 0; offset < points.size(); offset += 64) {
+    engine.ProcessBatch(points.subspan(
+        offset, std::min<std::size_t>(64, points.size() - offset)));
+  }
+  obs::MetricsRegistry& metrics = engine.metrics();
+  EXPECT_EQ(engine.points_processed(), 1000u);
+  EXPECT_EQ(metrics.GetCounter("umicro.points").value(),
+            engine.points_processed());
+  EXPECT_EQ(metrics.GetHistogram("umicro.process_micros").count(),
+            engine.points_processed());
+  EXPECT_GT(metrics.GetHistogram("umicro.batch_micros").count(), 0u);
+  EXPECT_LT(metrics.GetHistogram("umicro.batch_micros").count(),
+            engine.points_processed());
 }
 
 TEST(UMicroEngineTest, ClusterRecentBeforeAnyDataIsNull) {

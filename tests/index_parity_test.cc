@@ -146,23 +146,6 @@ TEST(IndexParityTest, GridKdTree) {
   }
 }
 
-TEST(IndexParityTest, GridCoarse) {
-  const GridCase grid[] = {
-      {1, 512, 0.0, 1200}, {2, 64, 0.0, 2000},    {3, 8, 0.0, 1000},
-      {7, 256, 0.001, 1500}, {16, 512, 0.0005, 1200}, {64, 512, 0.0, 800},
-      {64, 1, 0.0, 300},   {32, 128, 0.0, 1500},
-  };
-  for (const auto& c : grid) {
-    SCOPED_TRACE("d=" + std::to_string(c.dims) + " q=" + std::to_string(c.q) +
-                 " lambda=" + std::to_string(c.lambda));
-    const auto points = MakeStream(c.points, c.dims, 0.5, 2000 + c.dims,
-                                   std::max<std::size_t>(c.q + c.q / 8, 24));
-    ExpectIndexedParity(points, c.dims,
-                        ExpectedDistanceOptions(c.q, c.lambda, IndexKind::kFlat),
-                        IndexKind::kCoarse);
-  }
-}
-
 TEST(IndexParityTest, ComparableDistanceForm) {
   // kComparable drops the cluster-error term: the index must price
   // s_i = 0 and still agree exactly.
@@ -170,7 +153,6 @@ TEST(IndexParityTest, ComparableDistanceForm) {
   options.distance_form = DistanceForm::kComparable;
   const auto points = MakeStream(1500, 12, 0.5, 31);
   ExpectIndexedParity(points, 12, options, IndexKind::kKdTree);
-  ExpectIndexedParity(points, 12, options, IndexKind::kCoarse);
 }
 
 TEST(IndexParityTest, ZeroErrorStream) {
@@ -179,7 +161,6 @@ TEST(IndexParityTest, ZeroErrorStream) {
   const auto points = MakeStream(1500, 8, 0.0, 77);
   const auto options = ExpectedDistanceOptions(96, 0.0, IndexKind::kFlat);
   ExpectIndexedParity(points, 8, options, IndexKind::kKdTree);
-  ExpectIndexedParity(points, 8, options, IndexKind::kCoarse);
 }
 
 TEST(IndexParityTest, DenormalErrorStream) {
@@ -189,13 +170,12 @@ TEST(IndexParityTest, DenormalErrorStream) {
   const auto points = MakeStream(1000, 6, 1e-170, 99);
   const auto options = ExpectedDistanceOptions(64, 0.0, IndexKind::kFlat);
   ExpectIndexedParity(points, 6, options, IndexKind::kKdTree);
-  ExpectIndexedParity(points, 6, options, IndexKind::kCoarse);
 }
 
 TEST(IndexParityTest, IdenticalCentroidStress) {
   // Only 3 distinct locations but a budget of 32: most live clusters sit
   // at (nearly) the same centroid. Kd-tree splits see zero extent and
-  // the coarse groups collapse; both must stay exact.
+  // the index must stay exact.
   util::Rng rng(5);
   std::vector<stream::UncertainPoint> points;
   const double sites[3] = {-10.0, 0.0, 10.0};
@@ -207,7 +187,6 @@ TEST(IndexParityTest, IdenticalCentroidStress) {
   }
   const auto options = ExpectedDistanceOptions(32, 0.0, IndexKind::kFlat);
   ExpectIndexedParity(points, 2, options, IndexKind::kKdTree);
-  ExpectIndexedParity(points, 2, options, IndexKind::kCoarse);
 }
 
 TEST(IndexParityTest, CountingSimilarityNeverBuildsAnIndex) {
@@ -239,7 +218,7 @@ TEST(IndexParityTest, PruningActuallyHappens) {
   // Parity alone would pass for an index that returns every row. On a
   // well-separated workload the shortlist must be a strict subset and
   // lazy rebuilds must stay rare relative to queries.
-  for (const IndexKind kind : {IndexKind::kKdTree, IndexKind::kCoarse}) {
+  for (const IndexKind kind : {IndexKind::kKdTree}) {
     SCOPED_TRACE(index::IndexKindName(kind));
     auto options = ExpectedDistanceOptions(128, 0.0, kind);
     UMicro clusterer(8, options);

@@ -59,6 +59,20 @@ TEST(HistogramTest, CountSumMinMaxAreExact) {
   EXPECT_EQ(histogram.max(), 100.0);
 }
 
+TEST(HistogramTest, RepeatedRecordEqualsSingleRecords) {
+  const auto bounds = Histogram::ExponentialBuckets(1.0, 2.0, 10);
+  Histogram once(bounds);
+  Histogram each(bounds);
+  once.Record(3.0, 4);
+  once.Record(40.0, 0);  // zero observations: no effect
+  for (int i = 0; i < 4; ++i) each.Record(3.0);
+  EXPECT_EQ(once.count(), 4u);
+  EXPECT_EQ(once.sum(), each.sum());
+  EXPECT_EQ(once.min(), 3.0);
+  EXPECT_EQ(once.max(), 3.0);
+  EXPECT_EQ(once.Quantile(0.5), each.Quantile(0.5));
+}
+
 TEST(HistogramTest, QuantilesAreOrderedAndBounded) {
   Histogram histogram(Histogram::DefaultLatencyBucketsMicros());
   for (int i = 1; i <= 1000; ++i) histogram.Record(static_cast<double>(i));

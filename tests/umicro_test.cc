@@ -321,6 +321,38 @@ TEST(UMicroTest, ProcessAndExplainMatchesProcess) {
   }
 }
 
+TEST(UMicroTest, ClustersViewFollowsEveryMutation) {
+  // clusters() is materialized from the cluster table and cached; every
+  // mutation (absorb, create, decay, retire, restore) must refresh it.
+  const Dataset dataset = MakeBlobs(60, 0.2, 41);
+  UMicroOptions options;
+  options.num_micro_clusters = 4;
+  options.decay_lambda = 0.01;
+  UMicro algorithm(2, options);
+  const auto expect_view_matches_state = [&algorithm] {
+    const UMicroState state = algorithm.ExportState();
+    const std::vector<MicroCluster>& view = algorithm.clusters();
+    ASSERT_EQ(view.size(), state.clusters.size());
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      EXPECT_EQ(view[i].id, state.clusters[i].id);
+      EXPECT_EQ(view[i].ecf.weight(), state.clusters[i].ecf.weight());
+      EXPECT_EQ(view[i].ecf.cf1(), state.clusters[i].ecf.cf1());
+      EXPECT_EQ(view[i].ecf.last_update_time(),
+                state.clusters[i].ecf.last_update_time());
+      EXPECT_EQ(view[i].labels, state.clusters[i].labels);
+    }
+  };
+  for (const auto& point : dataset.points()) {
+    algorithm.Process(point);
+    expect_view_matches_state();
+  }
+  UMicroState earlier = algorithm.ExportState();
+  earlier.clusters.pop_back();
+  algorithm.RestoreState(earlier);
+  expect_view_matches_state();
+  EXPECT_EQ(algorithm.clusters().size(), earlier.clusters.size());
+}
+
 TEST(UMicroTest, NameReflectsDecay) {
   UMicro plain(2, UMicroOptions{});
   EXPECT_EQ(plain.name(), "UMicro");

@@ -31,18 +31,23 @@
 // adaptive load shedding and worker supervision.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "baseline/clustream.h"
@@ -167,6 +172,36 @@ bool ParseFlag(const std::string& arg, const char* name,
   return true;
 }
 
+/// Parses `value`, the text of flag `arg`, as one whole number: an
+/// unsigned count (in `base`; 0 also accepts 0x-hex) or a finite double.
+/// Empty text, trailing junk, a sign on a count and out-of-range values
+/// print one diagnostic line and return false (the caller exits 2).
+template <typename T>
+bool ParseNumber(const std::string& arg, const std::string& value, T* out,
+                 int base = 10) {
+  const char* text = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  bool ok = !value.empty() && std::isspace(static_cast<unsigned char>(
+                                  text[0])) == 0;
+  if constexpr (std::is_floating_point_v<T>) {
+    *out = std::strtod(text, &end);
+    ok = ok && std::isfinite(*out);
+  } else {
+    ok = ok && text[0] != '-' && text[0] != '+';
+    const unsigned long long parsed = std::strtoull(text, &end, base);
+    ok = ok && parsed <= std::numeric_limits<T>::max();
+    *out = static_cast<T>(parsed);
+  }
+  ok = ok && errno == 0 && end == text + value.size();
+  if (!ok) {
+    std::fprintf(stderr, "invalid %s: expected %s\n", arg.c_str(),
+                 std::is_floating_point_v<T> ? "a finite number"
+                                             : "a non-negative integer");
+  }
+  return ok;
+}
+
 /// Maps the --snapshot-store flags onto the store's tiering
 /// configuration. Call only after the fail-fast validation accepted the
 /// combination; an empty --snapshot-store yields the full-store default.
@@ -200,7 +235,7 @@ void PrintUsage() {
       "  --similarity=S        closest-cluster criterion: counting|\n"
       "                        distance (default counting)\n"
       "  --assign-index=K      candidate index for the closest-cluster\n"
-      "                        scan: flat|kdtree|coarse|auto (default\n"
+      "                        scan: flat|kdtree|auto (default\n"
       "                        auto; distance similarity only --\n"
       "                        docs/indexing.md)\n"
       "  --eta=E               perturb input with the paper's noise model\n"
@@ -542,7 +577,7 @@ bool ApplyAssignOptions(const CliOptions& cli,
   if (!kind.has_value()) {
     std::fprintf(
         stderr,
-        "unknown assign index: %s (expected flat|kdtree|coarse|auto)\n",
+        "unknown assign index: %s (expected flat|kdtree|auto)\n",
         cli.assign_index.c_str());
     return false;
   }
@@ -718,23 +753,23 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "synthetic", &value)) {
       cli.synthetic = value;
     } else if (ParseFlag(arg, "points", &value)) {
-      cli.points = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.points)) return 2;
     } else if (ParseFlag(arg, "algorithm", &value)) {
       cli.algorithm = value;
     } else if (ParseFlag(arg, "nmicro", &value)) {
-      cli.nmicro = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.nmicro)) return 2;
     } else if (ParseFlag(arg, "boundary", &value)) {
-      cli.boundary = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(arg, value, &cli.boundary)) return 2;
     } else if (ParseFlag(arg, "thresh", &value)) {
-      cli.thresh = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(arg, value, &cli.thresh)) return 2;
     } else if (ParseFlag(arg, "decay", &value)) {
-      cli.decay = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(arg, value, &cli.decay)) return 2;
     } else if (ParseFlag(arg, "similarity", &value)) {
       cli.similarity = value;
     } else if (ParseFlag(arg, "assign-index", &value)) {
       cli.assign_index = value;
     } else if (ParseFlag(arg, "eta", &value)) {
-      cli.eta = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(arg, value, &cli.eta)) return 2;
     } else if (arg == "--impute") {
       cli.impute = true;
     } else if (arg == "--describe") {
@@ -742,40 +777,40 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-header") {
       cli.no_header = true;
     } else if (ParseFlag(arg, "threads", &value)) {
-      cli.threads = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.threads)) return 2;
     } else if (ParseFlag(arg, "merge-every", &value)) {
-      cli.merge_every = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.merge_every)) return 2;
     } else if (ParseFlag(arg, "backpressure", &value)) {
       cli.backpressure = value;
     } else if (ParseFlag(arg, "queue-capacity", &value)) {
-      cli.queue_capacity = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.queue_capacity)) return 2;
     } else if (ParseFlag(arg, "snapshot-every", &value)) {
-      cli.snapshot_every = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.snapshot_every)) return 2;
     } else if (ParseFlag(arg, "snapshot-store", &value)) {
       cli.snapshot_store = value;
     } else if (ParseFlag(arg, "snapshot-budget-mb", &value)) {
-      cli.snapshot_budget_mb = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.snapshot_budget_mb)) return 2;
       cli.snapshot_budget_set = true;
     } else if (ParseFlag(arg, "snapshot-spill-dir", &value)) {
       cli.snapshot_spill_dir = value;
     } else if (ParseFlag(arg, "metrics-out", &value)) {
       cli.metrics_out = value;
     } else if (ParseFlag(arg, "metrics-every", &value)) {
-      cli.metrics_every = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.metrics_every)) return 2;
     } else if (ParseFlag(arg, "sample-interval", &value)) {
-      cli.sample_interval = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.sample_interval)) return 2;
     } else if (ParseFlag(arg, "batch", &value)) {
-      cli.batch = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.batch)) return 2;
     } else if (ParseFlag(arg, "max-rows", &value)) {
-      cli.max_rows = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.max_rows)) return 2;
     } else if (ParseFlag(arg, "centroids-out", &value)) {
       cli.centroids_out = value;
     } else if (ParseFlag(arg, "checkpoint-dir", &value)) {
       cli.checkpoint_dir = value;
     } else if (ParseFlag(arg, "checkpoint-every", &value)) {
-      cli.checkpoint_every = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.checkpoint_every)) return 2;
     } else if (ParseFlag(arg, "checkpoint-seconds", &value)) {
-      cli.checkpoint_seconds = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(arg, value, &cli.checkpoint_seconds)) return 2;
     } else if (arg == "--recover") {
       cli.recover = true;
     } else if (ParseFlag(arg, "bad-record-policy", &value)) {
@@ -785,15 +820,15 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "inject-faults", &value)) {
       cli.inject_faults = value;
     } else if (ParseFlag(arg, "fault-seed", &value)) {
-      cli.fault_seed = std::strtoull(value.c_str(), nullptr, 0);
+      if (!ParseNumber(arg, value, &cli.fault_seed, 0)) return 2;
     } else if (arg == "--degrade") {
       cli.degrade = true;
     } else if (arg == "--serve") {
       cli.serve = true;
     } else if (ParseFlag(arg, "serve-threads", &value)) {
-      cli.serve_threads = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.serve_threads)) return 2;
     } else if (ParseFlag(arg, "tenants", &value)) {
-      cli.tenants = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.tenants)) return 2;
     } else if (ParseFlag(arg, "tenant-key", &value)) {
       cli.tenant_key = value;
     } else if (ParseFlag(arg, "role", &value)) {
@@ -803,41 +838,56 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "listen", &value)) {
       cli.listen = value;
     } else if (ParseFlag(arg, "dims", &value)) {
-      cli.dims = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.dims)) return 2;
     } else if (ParseFlag(arg, "leaf-id", &value)) {
-      cli.leaf_id = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.leaf_id)) return 2;
     } else if (ParseFlag(arg, "delta-every", &value)) {
-      cli.delta_every = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.delta_every)) return 2;
       cli.delta_every_set = true;
     } else if (ParseFlag(arg, "stride", &value)) {
-      cli.stride = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.stride)) return 2;
       cli.stride_set = true;
     } else if (ParseFlag(arg, "offset", &value)) {
-      cli.offset = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.offset)) return 2;
       cli.offset_set = true;
     } else if (ParseFlag(arg, "standby", &value)) {
       cli.standby = value;
     } else if (arg == "--start-as-standby") {
       cli.start_as_standby = true;
     } else if (ParseFlag(arg, "stale-after", &value)) {
-      cli.stale_after = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(arg, value, &cli.stale_after)) return 2;
     } else if (ParseFlag(arg, "net-chaos", &value)) {
       cli.net_chaos = value;
     } else if (ParseFlag(arg, "net-chaos-seed", &value)) {
-      cli.net_chaos_seed = std::strtoull(value.c_str(), nullptr, 0);
+      if (!ParseNumber(arg, value, &cli.net_chaos_seed, 0)) return 2;
     } else if (ParseFlag(arg, "expect-points", &value)) {
-      cli.expect_points = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(arg, value, &cli.expect_points)) return 2;
     } else if (ParseFlag(arg, "expect-timeout", &value)) {
-      cli.expect_timeout = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(arg, value, &cli.expect_timeout)) return 2;
     } else if (ParseFlag(arg, "state-out", &value)) {
       cli.state_out = value;
     } else if (ParseFlag(arg, "linger-seconds", &value)) {
-      cli.linger_seconds = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(arg, value, &cli.linger_seconds)) return 2;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       PrintUsage();
       return 2;
     }
+  }
+  // Values the library's constructors would abort on are usage errors.
+  if (cli.nmicro == 0 || cli.sample_interval == 0 ||
+      cli.queue_capacity == 0) {
+    std::fprintf(stderr, "--nmicro, --sample-interval and --queue-capacity "
+                 "must be at least 1\n");
+    return 2;
+  }
+  if (cli.boundary <= 0.0 || cli.thresh <= 0.0) {
+    std::fprintf(stderr, "--boundary and --thresh must be > 0\n");
+    return 2;
+  }
+  if (cli.decay < 0.0 || cli.eta < 0.0) {
+    std::fprintf(stderr, "--decay and --eta must be >= 0\n");
+    return 2;
   }
   // Snapshot-store flags are validated before the role dispatch: every
   // role that owns a pyramidal store honors them.
