@@ -4,15 +4,18 @@
 //   bench_index_speedup [--dims=D] [--points=N] [--trials=K]
 //                       [--csv=PATH]
 //
-// For every cluster budget q in {64, 256, 512} the sweep pre-fills a
-// UMicro instance to q live micro-clusters from q well-separated
-// Gaussian blob centers, then times steady-state ingest of N points
-// drawn from the same blobs (absorb-dominated: the regime where the
-// closest-cluster scan is the whole cost). Every backend processes the
-// identical stream; the parity suite (tests/index_parity_test.cc)
-// guarantees the decisions are bit-identical, so this measures pure
-// scan cost. prune_ratio is 1 - candidates/scanned_rows from the
-// index's own counters (0 for the flat scan by definition).
+// For every cluster budget q in {64, 96, 128, 192, 256, 512} the sweep
+// pre-fills a UMicro instance to q live micro-clusters from q
+// well-separated Gaussian blob centers, then times steady-state ingest
+// of N points drawn from the same blobs (absorb-dominated: the regime
+// where the closest-cluster scan is the whole cost). The rows between
+// 64 and 256 locate the q at which the kd-tree starts to beat the flat
+// scan: the `auto` gate (index/centroid_index.cc) sits there. Every
+// backend processes the identical stream; the parity suite
+// (tests/index_parity_test.cc) guarantees the decisions are
+// bit-identical, so this measures pure scan cost. prune_ratio is
+// 1 - candidates/scanned_rows from the index's own counters (0 for the
+// flat scan by definition).
 //
 // The CSV (default index_speedup.csv; the checked-in artifact lives at
 // results/index_speedup.csv) backs the sub-linear-assignment claim in
@@ -132,7 +135,7 @@ int main(int argc, char** argv) {
                                "speedup_vs_flat", "prune_ratio", "host_cores",
                                "cpu_model"});
   const IndexKind kinds[] = {IndexKind::kFlat, IndexKind::kKdTree};
-  for (const std::size_t q : {64u, 256u, 512u}) {
+  for (const std::size_t q : {64u, 96u, 128u, 192u, 256u, 512u}) {
     umicro::util::Rng rng(2008 + q);
     const auto centers = MakeCenters(rng, q, dims);
     // One exact point per center claims all q cluster slots up front.

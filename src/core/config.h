@@ -3,27 +3,23 @@
 // Before this header, every subsystem grew its own option struct and
 // callers (the CLI above all) threaded them around piecemeal:
 // UMicroOptions + SnapshotPolicy into the engines, checkpoint cadence
-// into resilience, queue/merge knobs into parallel, broker knobs into
-// serve. EngineConfig consolidates them: one value with per-field
-// defaults describes an engine, a sharded pipeline, a checkpointer, a
-// query broker, and a tenant fleet. Subsystems accept it directly
-// (UMicroEngine, ParallelUMicroEngine, CheckpointManager, QueryBroker
-// options, EngineFleet all have EngineConfig entry points); the old
-// per-subsystem constructors remain as thin deprecated shims so
-// existing code compiles unchanged.
+// into resilience, broker knobs into serve. EngineConfig consolidates
+// them: one value with per-field defaults describes an engine, a
+// checkpointer, a query broker, and a tenant fleet. UMicroEngine,
+// EngineFleet, FleetCheckpointer and QueryBrokerOptions::FromConfig
+// accept it directly; EngineOptions remains as the sequential engine's
+// deprecated per-subsystem shim. The sharded engine and the single-engine
+// CheckpointManager still take their own option structs
+// (parallel::ParallelEngineOptions, resilience::CheckpointPolicy), which
+// callers fill from the umicro, snapshot and checkpoint slices.
 //
 // Layering: this header lives in core and therefore only names types
-// core already owns plus plain scalars. Subsystems that keep richer
-// option structs (parallel's BackpressurePolicy, resilience's
-// CheckpointPolicy, serve's QueryBrokerOptions) provide their own
-// EngineConfig converters next to those structs.
+// core already owns plus plain scalars.
 
 #ifndef UMICRO_CORE_CONFIG_H_
 #define UMICRO_CORE_CONFIG_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 
 #include "core/snapshot.h"
 #include "core/umicro.h"
@@ -41,35 +37,8 @@ struct EngineOptions {
   SnapshotPolicy snapshot;
 };
 
-/// Core-level mirror of parallel::BackpressurePolicy (defined here so
-/// EngineConfig does not depend on the parallel subsystem; the
-/// parallel engine maps it onto its own enum).
-enum class QueueFullPolicy {
-  kBlock,
-  kDropOldest,
-  kDropNewest,
-};
-
-/// Sharded-ingest knobs (parallel subsystem).
-struct ParallelConfig {
-  /// Worker threads; 0 selects the sequential engine.
-  std::size_t threads = 0;
-  /// Points between global merges.
-  std::size_t merge_every = 8192;
-  /// Per-shard queue capacity, in producer batches.
-  std::size_t queue_capacity = 1024;
-  /// Points buffered per shard before an enqueue.
-  std::size_t producer_batch = 64;
-  /// Reaction to a full shard queue.
-  QueueFullPolicy backpressure = QueueFullPolicy::kBlock;
-  /// Adaptive load shedding + worker supervision.
-  bool degrade = false;
-};
-
 /// Crash-safe checkpointing knobs (resilience subsystem).
 struct CheckpointConfig {
-  /// Checkpoint directory; empty disables checkpointing.
-  std::string dir;
   /// Checkpoint after this many newly processed points (0 = never by
   /// count).
   std::size_t every_points = 0;
@@ -87,8 +56,6 @@ struct ServeConfig {
   std::size_t max_queue = 1024;
   /// Uncertainty-boundary width for ANOMALY queries.
   double boundary_factor = 3.0;
-  /// Line-protocol pipeline depth.
-  std::size_t max_pipeline = 64;
 };
 
 /// Multi-tenant fleet knobs (fleet subsystem; docs/fleet.md).
@@ -128,8 +95,6 @@ struct EngineConfig {
   UMicroOptions umicro;
   /// Snapshot cadence / pyramidal retention of a single engine.
   SnapshotPolicy snapshot;
-  /// Sharded-ingest pipeline.
-  ParallelConfig parallel;
   /// Crash-safe checkpointing.
   CheckpointConfig checkpoint;
   /// Query serving.

@@ -165,8 +165,9 @@ std::unique_ptr<CentroidIndex> MakeCentroidIndex(IndexKind kind) {
     case IndexKind::kKdTree:
       return std::make_unique<KdTreeIndex>(options);
     case IndexKind::kAuto:
-      // Below ~64 rows the full SIMD scan beats tree traversal plus
-      // gather refinement; gate the index instead of paying overhead.
+      // Well below ~100 rows the full SIMD scan beats tree traversal
+      // plus gather refinement; gate the index instead of paying
+      // overhead (measured: docs/indexing.md).
       options.min_rows = 64;
       return std::make_unique<KdTreeIndex>(options);
   }

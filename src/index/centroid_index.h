@@ -48,9 +48,11 @@ enum class IndexKind {
   kFlat,
   /// Median-split kd-tree over the snapshot centroids.
   kKdTree,
-  /// kKdTree gated to engage only once q is large enough to win
-  /// (min_rows = 64); below that every query falls back to the flat
-  /// scan.
+  /// kKdTree gated at min_rows = 64: below that every query falls back
+  /// to the flat scan. At q = 64 the tree still runs a few percent
+  /// behind flat; it wins from q ~ 96 at d = 10 and from q = 128 at
+  /// d = 16 (results/index_speedup.csv, docs/indexing.md), and the gate
+  /// stays below 96 so 10-d streams at q ~ 100 keep the tree.
   kAuto,
 };
 

@@ -6,6 +6,7 @@
 // These run the real binary (path injected by CMake as UMICRO_CLI_PATH)
 // so the exit status the shell sees is exactly what is asserted.
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -79,6 +80,31 @@ TEST(CliErrorsTest, MissingInputSelectionPrintsUsage) {
 TEST(CliErrorsTest, UnknownFlagPrintsUsage) {
   const CliResult result = RunCli("--synthetic=syndrift --no-such-flag");
   EXPECT_EQ(result.exit_code, 2);
+  // The usage text is generated from the CLI's flag table; every flag it
+  // names must be documented in the one flag reference.
+  std::ifstream doc_file(UMICRO_TOOLS_DOC);
+  ASSERT_TRUE(doc_file.good()) << UMICRO_TOOLS_DOC;
+  std::ostringstream doc;
+  doc << doc_file.rdbuf();
+  std::istringstream usage(result.stderr_text);
+  std::size_t flags_seen = 0;
+  for (std::string line; std::getline(usage, line);) {
+    if (line.rfind("  ", 0) != 0) continue;  // flag rows are indented
+    for (std::size_t at = line.find("--"); at != std::string::npos;
+         at = line.find("--", at + 2)) {
+      std::size_t end = at + 2;
+      while (end < line.size() &&
+             (std::islower(static_cast<unsigned char>(line[end])) != 0 ||
+              line[end] == '-')) {
+        ++end;
+      }
+      const std::string flag = line.substr(at, end - at);
+      ++flags_seen;
+      EXPECT_NE(doc.str().find("`" + flag), std::string::npos)
+          << flag << " is missing from docs/tools.md";
+    }
+  }
+  EXPECT_GE(flags_seen, 58u);
 }
 
 TEST(CliErrorsTest, UnknownSyntheticWorkload) {
@@ -314,6 +340,39 @@ TEST(CliErrorsTest, UnknownAssignIndex) {
   ExpectUsageError("--synthetic=syndrift --points=100 --similarity=distance "
                    "--assign-index=coarse",
                    "unknown assign index: coarse");
+}
+
+TEST(CliErrorsTest, BadValuesFailBeforeTheInputIsRead) {
+  // Usage errors win over environment errors: a missing input file is
+  // never looked at when a flag value is already wrong.
+  ExpectUsageError("--input=/no/such.csv --assign-index=bogus",
+                   "unknown assign index: bogus");
+  ExpectUsageError("--input=/no/such.csv --similarity=bogus",
+                   "unknown similarity: bogus");
+  ExpectUsageError("--input=/no/such.csv --backpressure=bogus",
+                   "unknown backpressure policy: bogus");
+  ExpectUsageError("--input=/no/such.csv --algorithm=bogus",
+                   "unknown algorithm: bogus");
+  ExpectUsageError("--input=/no/such.csv --algorithm=clustream "
+                   "--metrics-out=" +
+                       testing::TempDir() + "/cli_metrics",
+                   "--metrics-out requires --algorithm=umicro");
+}
+
+TEST(CliErrorsTest, FlagsOutsideTheirRunModeAreRejected) {
+  // A flag the run's mode would never read is an error, not a silent
+  // no-op.
+  ExpectUsageError("--synthetic=syndrift --points=100 --tenants=2 "
+                   "--snapshot-every=7",
+                   "--snapshot-every requires");
+  ExpectUsageError("--synthetic=syndrift --points=100 --tenants=2 --batch=9",
+                   "--batch requires");
+  ExpectUsageError("--synthetic=syndrift --points=100 "
+                   "--listen=127.0.0.1:1",
+                   "--listen requires --role=agg");
+  ExpectUsageError("--role=leaf --connect=127.0.0.1:9100 "
+                   "--synthetic=syndrift --points=100 --batch=4",
+                   "--batch requires");
 }
 
 TEST(CliErrorsTest, ValidNumericFormsStillParse) {

@@ -1,12 +1,15 @@
-// umicro_cli: cluster a CSV/ARFF file or synthetic workload as a stream.
+// umicro_cli: cluster a CSV/ARFF file or synthetic workload as a stream,
+// or run one process of the distributed merge tree.
 //
-//   umicro_cli --input=connections.csv [--algorithm=umicro]
-//              [--nmicro=100] [--boundary=3.0] [--thresh=3.0]
-//              [--decay=0.0] [--eta=0.0] [--impute]
-//              [--sample-interval=10000] [--max-rows=0]
-//              [--centroids-out=clusters.csv] [--no-header]
-//   umicro_cli --synthetic=syndrift --points=200000 --threads=4
-//              --metrics-out=run_metrics --metrics-every=50000
+//   umicro_cli (--input=FILE | --synthetic=NAME) [flags]
+//   umicro_cli --role=agg|query ... [flags]
+//
+// Every flag is one row of MakeFlags() below: its name, value kind,
+// default, help line, and the run modes that read it. --help-style usage
+// text is generated from those rows (docs/tools.md is the reference),
+// and a flag given to a run mode that never reads it is a usage error.
+// Usage errors exit 2 before any environment check, dataset work or
+// filesystem side effect; environment errors exit 1.
 //
 // The input may be headered CSV (columns: values..., optional err_*,
 // timestamp, label -- see io/csv_dataset.h), headerless CSV with a
@@ -45,10 +48,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "baseline/clustream.h"
 #include "baseline/stream_kmeans.h"
@@ -90,95 +95,242 @@
 
 namespace {
 
+using umicro::core::SimilarityMode;
+using umicro::core::SnapshotStoreMode;
+using umicro::parallel::BackpressurePolicy;
+using umicro::resilience::BadRecordPolicy;
+
+// ---- Run modes ---------------------------------------------------------
+// Every run is exactly one mode, picked by the selector flags in this
+// order: --role, then --tenants, --algorithm, --threads (RunMode).
+
+enum Mode : unsigned {
+  kSequential = 1u << 0,
+  kSharded = 1u << 1,
+  kBaseline = 1u << 2,
+  kFleet = 1u << 3,
+  kLeaf = 1u << 4,
+  kAgg = 1u << 5,
+  kQuery = 1u << 6,
+};
+/// Single-process runs (no --role).
+constexpr unsigned kLocal = kSequential | kSharded | kBaseline | kFleet;
+/// Runs that read a stream.
+constexpr unsigned kIngest = kLocal | kLeaf;
+/// Runs that read a stream into umicro engines.
+constexpr unsigned kEngine = kIngest & ~kBaseline;
+constexpr unsigned kAnyMode = kIngest | kAgg | kQuery;
+
+struct ModeInfo {
+  Mode mode;
+  char letter;       // usage column
+  const char* name;  // "<name> runs ignore ..."
+  const char* selector;
+};
+constexpr ModeInfo kModes[] = {
+    {kSequential, 'S', "sequential", "a sequential umicro run"},
+    {kSharded, 'T', "sharded", "--threads"},
+    {kBaseline, 'B', "baseline", "a baseline --algorithm"},
+    {kFleet, 'F', "fleet", "--tenants"},
+    {kLeaf, 'L', "leaf", "--role=leaf"},
+    {kAgg, 'A', "agg", "--role=agg"},
+    {kQuery, 'Q', "query", "--role=query"},
+};
+
+/// What a run must be to read a flag with mode set `modes`, e.g.
+/// "--role=leaf or --role=agg".
+std::string Requirement(unsigned modes) {
+  std::vector<std::string> parts;
+  if ((modes & kLocal) == kLocal) {
+    parts.push_back("a run without --role");
+    modes &= ~kLocal;
+  }
+  for (const ModeInfo& info : kModes) {
+    if ((modes & info.mode) != 0) parts.push_back(info.selector);
+  }
+  std::string text;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) text += i + 1 == parts.size() ? " or " : ", ";
+    text += parts[i];
+  }
+  return text;
+}
+
+// ---- Enumerated values -------------------------------------------------
+
+enum class Algorithm { kUMicro, kCluStream, kStreamKMeans };
+enum class Role { kStandalone, kLeaf, kAgg, kQuery };
+enum class TenantKey { kRoundRobin, kHash, kLabel };
+using Workload = umicro::stream::Dataset (*)(std::size_t points, double eta);
+
+template <typename E>
+struct Choice {
+  const char* name;
+  E value;
+};
+
+constexpr Choice<Algorithm> kAlgorithms[] = {
+    {"umicro", Algorithm::kUMicro},
+    {"clustream", Algorithm::kCluStream},
+    {"stream-kmeans", Algorithm::kStreamKMeans},
+};
+constexpr Choice<Role> kRoles[] = {
+    {"leaf", Role::kLeaf}, {"agg", Role::kAgg}, {"query", Role::kQuery}};
+constexpr Choice<TenantKey> kTenantKeys[] = {
+    {"round_robin", TenantKey::kRoundRobin},
+    {"hash", TenantKey::kHash},
+    {"label", TenantKey::kLabel},
+};
+constexpr Choice<Workload> kWorkloads[] = {
+    {"syndrift",
+     [](std::size_t n, double eta) {
+       return umicro::synth::MakeSynDriftWorkload(n, eta);
+     }},
+    {"network",
+     [](std::size_t n, double eta) {
+       return umicro::synth::MakeNetworkWorkload(n, eta);
+     }},
+    {"forest",
+     [](std::size_t n, double eta) {
+       return umicro::synth::MakeForestWorkload(n, eta);
+     }},
+};
+constexpr Choice<SimilarityMode> kSimilarities[] = {
+    {"counting", SimilarityMode::kDimensionCounting},
+    {"distance", SimilarityMode::kExpectedDistance},
+};
+constexpr Choice<BackpressurePolicy> kBackpressures[] = {
+    {"block", BackpressurePolicy::kBlock},
+    {"drop_oldest", BackpressurePolicy::kDropOldest},
+    {"drop_newest", BackpressurePolicy::kDropNewest},
+};
+constexpr Choice<SnapshotStoreMode> kStoreModes[] = {
+    {"full", SnapshotStoreMode::kFull},
+    {"delta", SnapshotStoreMode::kDelta},
+    {"tiered", SnapshotStoreMode::kTiered},
+};
+
+template <typename E, std::size_t N>
+const char* NameOf(const Choice<E> (&choices)[N], E value) {
+  for (const Choice<E>& choice : choices) {
+    if (choice.value == value) return choice.name;
+  }
+  return "?";
+}
+
+// ---- Options -----------------------------------------------------------
+// CLI fields start zeroed and config fields at their library values; the
+// CLI's defaults are stated once, in the flag rows, and parsed over both.
+
 struct CliOptions {
+  /// Engine, snapshot, checkpoint, serve and fleet settings. Flags with
+  /// an EngineConfig field write it directly, and every run mode reads
+  /// it from here.
+  umicro::core::EngineConfig config;
+  // Input.
   std::string input;
-  std::string synthetic;
-  std::size_t points = 100000;
-  std::string algorithm = "umicro";
-  std::size_t nmicro = 100;
-  double boundary = 3.0;
-  double thresh = 3.0;
-  double decay = 0.0;
-  std::string similarity = "counting";
-  std::string assign_index = "auto";
+  Workload synthetic = nullptr;
+  std::size_t points = 0;
+  std::size_t max_rows = 0;
+  bool no_header = false;
   double eta = 0.0;
   bool impute = false;
-  bool no_header = false;
-  std::size_t sample_interval = 10000;
-  std::size_t batch = 1;
-  std::size_t max_rows = 0;
-  std::string centroids_out;
+  std::optional<BadRecordPolicy> bad_record_policy;
+  std::string quarantine_out;
+  std::string inject_faults;
+  std::uint64_t fault_seed = 0;
+  Algorithm algorithm = Algorithm::kUMicro;
+  // Single-engine runs and their outputs.
+  std::size_t sample_interval = 0;
+  std::size_t batch = 0;
   bool describe = false;
-  std::size_t threads = 0;
-  std::size_t merge_every = 8192;
-  std::string backpressure = "block";
-  std::size_t queue_capacity = 1024;
-  std::size_t snapshot_every = 4096;
-  // Pyramidal store encoding (docs/snapshots.md). Empty keeps each
-  // context's own default: full for standalone engines, delta in the
-  // fleet.
-  std::string snapshot_store;
-  std::size_t snapshot_budget_mb = 64;
-  bool snapshot_budget_set = false;
-  std::string snapshot_spill_dir;
+  std::string centroids_out;
+  std::string state_out;
   std::string metrics_out;
   std::size_t metrics_every = 0;
   std::string checkpoint_dir;
-  std::size_t checkpoint_every = 0;
-  double checkpoint_seconds = 0.0;
   bool recover = false;
-  std::string bad_record_policy;
-  std::string quarantine_out;
-  std::string inject_faults;
-  std::uint64_t fault_seed = 0xfa117u;
-  bool degrade = false;
   bool serve = false;
-  std::size_t serve_threads = 4;
-  // Multi-tenant fleet (docs/fleet.md).
-  std::size_t tenants = 0;
-  std::string tenant_key = "round_robin";
+  std::size_t snapshot_budget_mb = 0;
+  // Sharded ingest (and the fleet's worker pool).
+  std::size_t threads = 0;
+  std::size_t merge_every = 0;
+  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
+  std::size_t queue_capacity = 0;
+  bool degrade = false;
+  TenantKey tenant_key = TenantKey::kRoundRobin;
   // Distributed merge tree (docs/distributed.md).
-  std::string role;  // "" (standalone) | leaf | agg | query
+  Role role = Role::kStandalone;
   std::string connect;
   std::string listen;
   std::size_t dims = 0;
   std::uint64_t leaf_id = 0;
-  std::size_t delta_every = 4096;
-  std::size_t stride = 1;
+  std::size_t delta_every = 0;
+  std::size_t stride = 0;
   std::size_t offset = 0;
+  std::string standby;
   std::uint64_t expect_points = 0;
-  double expect_timeout = 300.0;
-  std::string state_out;
+  double expect_timeout = 0.0;
   double linger_seconds = 0.0;
-  // Failover + chaos (docs/distributed.md).
-  std::string standby;  // comma-separated HOST:PORT list (leaf role)
   bool start_as_standby = false;
-  double stale_after = 0.0;  // seconds; 0 disables liveness tracking
+  double stale_after = 0.0;
   std::string net_chaos;
-  std::uint64_t net_chaos_seed = 0xc4a05u;
-  // Leaf-only flags remember whether they were given explicitly so the
-  // role validation can reject them on non-leaf roles (their defaults
-  // are not sentinels).
-  bool delta_every_set = false;
-  bool stride_set = false;
-  bool offset_set = false;
+  std::uint64_t net_chaos_seed = 0;
+
+  /// Flags given with a non-empty value (an empty value leaves a flag
+  /// unset).
+  std::set<std::string> given;
+  bool Given(const char* name) const { return given.count(name) != 0; }
+
+  // Parsed from the text flags once every flag is known (the specs need
+  // their seeds).
+  std::optional<umicro::resilience::FaultInjectionOptions> faults;
+  std::optional<umicro::net::ChaosOptions> chaos;
+  std::vector<umicro::net::SocketAddress> standbys;
+  /// --connect (leaf, query) or --listen (agg).
+  umicro::net::SocketAddress address;
 };
 
-bool ParseFlag(const std::string& arg, const char* name,
-               std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
+Mode RunMode(const CliOptions& cli) {
+  switch (cli.role) {
+    case Role::kLeaf:
+      return kLeaf;
+    case Role::kAgg:
+      return kAgg;
+    case Role::kQuery:
+      return kQuery;
+    case Role::kStandalone:
+      break;
+  }
+  if (cli.config.fleet.tenants > 0) return kFleet;
+  if (cli.algorithm != Algorithm::kUMicro) return kBaseline;
+  return cli.threads > 0 ? kSharded : kSequential;
 }
 
-/// Parses `value`, the text of flag `arg`, as one whole number: an
+// ---- Flag table --------------------------------------------------------
+
+/// Parses one flag's text into its field; false after printing one
+/// diagnostic line.
+using Setter = std::function<bool(const char* name, const std::string& text)>;
+
+/// A value kind: the usage placeholder (empty for a switch, the allowed
+/// names for an enum) and the parser.
+struct Value {
+  std::string meta;
+  Setter set;
+  /// Numbers reject an empty value; text and enums treat it as unset.
+  bool empty_is_unset = true;
+};
+
+enum class Bound { kAny, kPositive, kNonNegative };
+
+/// Parses `value`, the text of flag `name`, as one whole number: an
 /// unsigned count (in `base`; 0 also accepts 0x-hex) or a finite double.
 /// Empty text, trailing junk, a sign on a count and out-of-range values
 /// print one diagnostic line and return false (the caller exits 2).
 template <typename T>
-bool ParseNumber(const std::string& arg, const std::string& value, T* out,
-                 int base = 10) {
+bool ParseNumber(const char* name, const std::string& value, T* out,
+                 int base) {
   const char* text = value.c_str();
   char* end = nullptr;
   errno = 0;
@@ -195,138 +347,374 @@ bool ParseNumber(const std::string& arg, const std::string& value, T* out,
   }
   ok = ok && errno == 0 && end == text + value.size();
   if (!ok) {
-    std::fprintf(stderr, "invalid %s: expected %s\n", arg.c_str(),
+    std::fprintf(stderr, "invalid --%s=%s: expected %s\n", name,
+                 value.c_str(),
                  std::is_floating_point_v<T> ? "a finite number"
                                              : "a non-negative integer");
   }
   return ok;
 }
 
-/// Maps the --snapshot-store flags onto the store's tiering
-/// configuration. Call only after the fail-fast validation accepted the
-/// combination; an empty --snapshot-store yields the full-store default.
-umicro::core::SnapshotTiering MakeTiering(const CliOptions& cli) {
-  umicro::core::SnapshotTiering tiering;
-  if (cli.snapshot_store == "delta") {
-    tiering.mode = umicro::core::SnapshotStoreMode::kDelta;
-  } else if (cli.snapshot_store == "tiered") {
-    tiering.mode = umicro::core::SnapshotStoreMode::kTiered;
-    tiering.budget_bytes =
-        cli.snapshot_budget_mb * std::size_t{1024} * std::size_t{1024};
-    if (!cli.snapshot_spill_dir.empty()) {
-      tiering.spill_dir = cli.snapshot_spill_dir;
-      tiering.codec = umicro::io::MakeSnapshotSpillCodec();
-    }
-  }
-  return tiering;
+/// A count (N), a real (X), or with base 0 a seed that also accepts
+/// 0x-hex. Values the engine would abort on are rejected by `bound`.
+template <typename T>
+Value Number(T* field, Bound bound = Bound::kAny, int base = 10) {
+  constexpr bool kReal = std::is_floating_point_v<T>;
+  return {kReal ? "X" : "N",
+          [=](const char* name, const std::string& text) {
+            if (!ParseNumber(name, text, field, base)) return false;
+            const char* need = nullptr;
+            if (bound == Bound::kPositive && !(*field > 0)) {
+              need = kReal ? "> 0" : "at least 1";
+            }
+            if constexpr (kReal) {
+              if (bound == Bound::kNonNegative && !(*field >= 0)) {
+                need = ">= 0";
+              }
+            }
+            if (need != nullptr) {
+              std::fprintf(stderr, "--%s must be %s\n", name, need);
+            }
+            return need == nullptr;
+          },
+          false};
 }
 
-void PrintUsage() {
+Value Seed(std::uint64_t* field) { return Number(field, Bound::kAny, 0); }
+
+Value Text(std::string* field, const char* meta) {
+  return {meta, [=](const char*, const std::string& text) {
+            *field = text;
+            return true;
+          }};
+}
+
+Value Switch(bool* field) {
+  return {"", [=](const char*, const std::string&) {
+            *field = true;
+            return true;
+          }};
+}
+
+/// An enum whose names the library parses.
+template <typename Field, typename E>
+Value Enum(Field* field, const char* noun, const char* names,
+           std::optional<E> (*parse)(const std::string&)) {
+  return {names, [=](const char*, const std::string& text) {
+            const std::optional<E> value = parse(text);
+            if (!value.has_value()) {
+              std::fprintf(stderr, "unknown %s: %s (want %s)\n", noun,
+                           text.c_str(), names);
+              return false;
+            }
+            *field = *value;
+            return true;
+          }};
+}
+
+/// An enum whose names are listed in a Choice table.
+template <typename E, std::size_t N>
+Value Enum(E* field, const char* noun, const Choice<E> (&choices)[N]) {
+  std::string names;
+  for (const Choice<E>& choice : choices) {
+    if (!names.empty()) names += '|';
+    names += choice.name;
+  }
+  return {names, [=, &choices](const char*, const std::string& text) {
+            for (const Choice<E>& choice : choices) {
+              if (text == choice.name) {
+                *field = choice.value;
+                return true;
+              }
+            }
+            std::fprintf(stderr, "unknown %s: %s (want %s)\n", noun,
+                         text.c_str(), names.c_str());
+            return false;
+          }};
+}
+
+/// One command-line flag, stated once.
+struct Flag {
+  const char* name;
+  Value value;
+  /// Default, parsed into the field before argv is read; "" = none.
+  const char* fallback;
+  /// Run modes that read the flag (a Mode bit set).
+  unsigned modes;
+  const char* help;
+};
+
+std::vector<Flag> MakeFlags(CliOptions* cli) {
+  umicro::core::EngineConfig& config = cli->config;
+  constexpr unsigned kSingle = kSequential | kSharded | kBaseline;
+  return {
+      // Input.
+      {"input", Text(&cli->input, "FILE"), "", kIngest,
+       "CSV or ARFF (.arff) stream (docs/data_formats.md)"},
+      {"synthetic", Enum(&cli->synthetic, "synthetic workload", kWorkloads),
+       "", kIngest, "built-in workload instead of --input"},
+      {"points", Number(&cli->points), "100000", kIngest,
+       "synthetic stream length"},
+      {"max-rows", Number(&cli->max_rows), "0", kIngest,
+       "read at most N rows (0 = all)"},
+      {"no-header", Switch(&cli->no_header), "", kIngest,
+       "headerless CSV, last column is the label"},
+      {"eta", Number(&cli->eta, Bound::kNonNegative), "0", kIngest,
+       "perturb the input with the paper's noise model"},
+      {"impute", Switch(&cli->impute), "", kIngest,
+       "impute missing entries (online mean)"},
+      {"bad-record-policy",
+       Enum(&cli->bad_record_policy, "--bad-record-policy",
+            "repair|quarantine|drop",
+            umicro::resilience::ParseBadRecordPolicy),
+       "", kIngest, "harden malformed records instead of aborting"},
+      {"quarantine-out", Text(&cli->quarantine_out, "FILE"), "", kIngest,
+       "side CSV receiving quarantined records"},
+      {"inject-faults", Text(&cli->inject_faults, "SPEC"), "", kIngest,
+       "deterministic stream faults, e.g. corrupt=0.01,duplicate=0.01,"
+       "reorder=0.01,gap=0.001,max-gap=16"},
+      {"fault-seed", Seed(&cli->fault_seed), "0xfa117", kIngest,
+       "fault-injection seed"},
+      // Algorithm.
+      {"algorithm", Enum(&cli->algorithm, "algorithm", kAlgorithms),
+       "umicro", kIngest, "clustering algorithm"},
+      {"nmicro",
+       Number(&config.umicro.num_micro_clusters, Bound::kPositive), "100",
+       kIngest | kAgg, "micro-cluster budget (k for stream-kmeans)"},
+      {"boundary", Number(&config.umicro.boundary_factor, Bound::kPositive),
+       "3", kIngest | kAgg, "uncertainty-boundary factor t"},
+      {"thresh",
+       Number(&config.umicro.dimension_threshold, Bound::kPositive), "3",
+       kEngine | kAgg, "dimension-counting threshold"},
+      {"decay", Number(&config.umicro.decay_lambda, Bound::kNonNegative),
+       "0", kEngine | kAgg, "exponential decay rate lambda (0 = off)"},
+      {"similarity",
+       Enum(&config.umicro.similarity, "similarity", kSimilarities),
+       "counting", kEngine, "closest-cluster criterion"},
+      {"assign-index",
+       Enum(&config.umicro.assign_index, "assign index", "flat|kdtree|auto",
+            umicro::index::ParseIndexKind),
+       "auto", kEngine,
+       "closest-cluster candidate index; distance similarity only"},
+      // Single-engine runs and their outputs.
+      {"sample-interval", Number(&cli->sample_interval, Bound::kPositive),
+       "10000", kSingle, "purity/throughput sample cadence"},
+      {"batch", Number(&cli->batch, Bound::kPositive), "1", kSingle,
+       "ingest in batches of N points (1 = per point)"},
+      {"describe", Switch(&cli->describe), "",
+       kSequential | kSharded | kLeaf, "print the heaviest clusters"},
+      {"centroids-out", Text(&cli->centroids_out, "FILE"), "",
+       kSingle | kLeaf, "write the final centroids as CSV"},
+      {"state-out", Text(&cli->state_out, "FILE"), "",
+       kSequential | kSharded | kAgg,
+       "canonical micro-cluster dump (byte-comparable)"},
+      {"metrics-out", Text(&cli->metrics_out, "STEM"), "", kEngine | kAgg,
+       "write STEM.json + STEM.csv metric dumps"},
+      {"metrics-every", Number(&cli->metrics_every), "0", kEngine,
+       "also re-export metrics every N points"},
+      // Sharded ingest.
+      {"threads", Number(&cli->threads), "0",
+       kSequential | kSharded | kFleet,
+       "shard ingest across N workers (fleet: worker count)"},
+      {"merge-every", Number(&cli->merge_every), "8192", kSharded,
+       "points between global merges"},
+      {"backpressure",
+       Enum(&cli->backpressure, "backpressure policy", kBackpressures),
+       "block", kSharded, "full-queue policy"},
+      {"queue-capacity", Number(&cli->queue_capacity, Bound::kPositive),
+       "1024", kSharded | kFleet, "per-shard queue capacity in batches"},
+      {"degrade", Switch(&cli->degrade), "", kSharded,
+       "adaptive load shedding + worker supervision"},
+      // Snapshots (docs/snapshots.md).
+      {"snapshot-every", Number(&config.snapshot.snapshot_every), "4096",
+       kSequential | kSharded | kLeaf | kAgg,
+       "pyramidal snapshot cadence, 0 disables"},
+      {"snapshot-store",
+       Enum(&config.snapshot.tiering.mode, "--snapshot-store", kStoreModes),
+       "full", kEngine | kAgg, "store encoding (fleets default to delta)"},
+      {"snapshot-budget-mb", Number(&cli->snapshot_budget_mb), "64",
+       kEngine | kAgg, "tiered-store byte budget before cold demotion"},
+      {"snapshot-spill-dir", Text(&config.snapshot.tiering.spill_dir, "DIR"),
+       "", kEngine | kAgg,
+       "spill demoted frames to checksummed files, not quantized"},
+      // Checkpoints (docs/resilience.md).
+      {"checkpoint-dir", Text(&cli->checkpoint_dir, "DIR"), "", kEngine,
+       "write crash-safe engine checkpoints here"},
+      {"checkpoint-every", Number(&config.checkpoint.every_points), "0",
+       kEngine, "checkpoint every N processed points (0 = off)"},
+      {"checkpoint-seconds", Number(&config.checkpoint.every_seconds), "0",
+       kEngine, "checkpoint every X wall-clock seconds (0 = off)"},
+      {"recover", Switch(&cli->recover), "", kEngine,
+       "restore the newest valid checkpoint, replay the rest"},
+      // Query serving (docs/serving.md).
+      {"serve", Switch(&cli->serve), "", kSequential | kSharded | kFleet,
+       "after ingest, answer line-protocol queries on stdin"},
+      {"serve-threads", Number(&config.serve.threads), "4",
+       kSequential | kSharded | kFleet | kAgg, "query worker threads"},
+      // Multi-tenant fleet (docs/fleet.md).
+      {"tenants", Number(&config.fleet.tenants), "0", kLocal,
+       "run N tenant engines behind one fleet"},
+      {"tenant-key", Enum(&cli->tenant_key, "--tenant-key", kTenantKeys),
+       "round_robin", kFleet, "record-to-tenant routing"},
+      // Distributed merge tree (docs/distributed.md).
+      {"role", Enum(&cli->role, "--role", kRoles), "", kAnyMode,
+       "leaf ingester, aggregator, or query client"},
+      {"connect", Text(&cli->connect, "HOST:PORT"), "", kLeaf | kQuery,
+       "aggregator address"},
+      {"listen", Text(&cli->listen, "HOST:PORT"), "", kAgg,
+       "bind address (port 0 = ephemeral)"},
+      {"dims", Number(&cli->dims), "0", kAgg, "stream dimensionality"},
+      {"leaf-id", Number(&cli->leaf_id), "0", kLeaf,
+       "this leaf's shard slot, dense from 0"},
+      {"delta-every", Number(&cli->delta_every), "4096", kLeaf,
+       "ship a state delta every N points (0 = final only)"},
+      {"stride", Number(&cli->stride), "1", kLeaf,
+       "ingest rows with index % stride == offset"},
+      {"offset", Number(&cli->offset), "0", kLeaf,
+       "this leaf's row offset within --stride"},
+      {"standby", Text(&cli->standby, "HOST:PORT,..."), "", kLeaf,
+       "standby aggregators, tried in order on failover"},
+      {"expect-points", Number(&cli->expect_points), "0", kAgg,
+       "write --state-out once N points are merged"},
+      {"expect-timeout", Number(&cli->expect_timeout), "300", kAgg,
+       "give up waiting after X seconds"},
+      {"linger-seconds", Number(&cli->linger_seconds), "0", kAgg,
+       "keep serving X seconds after --state-out"},
+      {"start-as-standby", Switch(&cli->start_as_standby), "", kAgg,
+       "report role standby until a primary delta arrives"},
+      {"stale-after", Number(&cli->stale_after, Bound::kNonNegative), "0",
+       kAgg, "drop a leaf silent for X seconds from the view"},
+      {"net-chaos", Text(&cli->net_chaos, "SPEC"), "", kLeaf | kAgg,
+       "seeded wire faults, e.g. drop=0.05,delay=0.1,delay-ms=20,"
+       "truncate=0.01,bitflip=0.01,partition=0.02,partition-ms=300"},
+      {"net-chaos-seed", Seed(&cli->net_chaos_seed), "0xc4a05",
+       kLeaf | kAgg, "chaos seed"},
+  };
+}
+
+void PrintUsage(const std::vector<Flag>& flags) {
   std::fprintf(
       stderr,
-      "usage: umicro_cli (--input=FILE | --synthetic=NAME) [options]\n"
-      "  --synthetic=NAME      syndrift|network|forest workload\n"
-      "  --points=N            synthetic stream length (default 100000)\n"
-      "  --algorithm=umicro|clustream|stream-kmeans   (default umicro)\n"
-      "  --nmicro=N            micro-cluster budget (default 100)\n"
-      "  --boundary=T          uncertainty-boundary factor t (default 3)\n"
-      "  --thresh=T            dimension-counting threshold (default 3)\n"
-      "  --decay=LAMBDA        exponential decay rate (default 0 = off)\n"
-      "  --similarity=S        closest-cluster criterion: counting|\n"
-      "                        distance (default counting)\n"
-      "  --assign-index=K      candidate index for the closest-cluster\n"
-      "                        scan: flat|kdtree|auto (default\n"
-      "                        auto; distance similarity only --\n"
-      "                        docs/indexing.md)\n"
-      "  --eta=E               perturb input with the paper's noise model\n"
-      "  --impute              impute missing entries (online mean)\n"
-      "  --no-header           headerless CSV, last column is the label\n"
-      "  --describe            print the heaviest clusters at the end\n"
-      "  --threads=N           shard umicro ingest across N worker "
-      "threads\n"
-      "  --merge-every=M       points between global merges (default "
-      "8192)\n"
-      "  --backpressure=P      block|drop_oldest|drop_newest (default "
-      "block)\n"
-      "  --queue-capacity=N    per-shard queue capacity in batches\n"
-      "  --snapshot-every=N    pyramidal snapshot cadence, 0 disables "
-      "(default 4096)\n"
-      "  --snapshot-store=M    store encoding: full|delta|tiered\n"
-      "                        (default full; --tenants fleets default to\n"
-      "                        delta -- docs/snapshots.md)\n"
-      "  --snapshot-budget-mb=N  tiered-store byte budget before cold\n"
-      "                        demotion (default 64; requires\n"
-      "                        --snapshot-store=tiered)\n"
-      "  --snapshot-spill-dir=DIR  spill demoted frames to checksummed\n"
-      "                        files here instead of quantizing them\n"
-      "                        (requires --snapshot-store=tiered)\n"
-      "  --metrics-out=STEM    write STEM.json + STEM.csv metric dumps\n"
-      "  --metrics-every=N     re-export metrics every N points\n"
-      "  --sample-interval=N   purity sample cadence (default 10000)\n"
-      "  --batch=N             ingest in batches of N points through the\n"
-      "                        vectorized kernels (default 1 = per-point)\n"
-      "  --max-rows=N          read at most N rows (default all)\n"
-      "  --centroids-out=FILE  write final centroids as CSV\n"
-      "  --checkpoint-dir=DIR  write crash-safe engine checkpoints here\n"
-      "  --checkpoint-every=N  checkpoint every N processed points\n"
-      "  --checkpoint-seconds=T  checkpoint every T wall-clock seconds\n"
-      "  --recover             restore the newest valid checkpoint and\n"
-      "                        replay only the remaining input\n"
-      "  --bad-record-policy=P repair|quarantine|drop malformed records\n"
-      "  --quarantine-out=FILE side CSV receiving quarantined records\n"
-      "  --inject-faults=SPEC  deterministic stream faults, e.g.\n"
-      "                        corrupt=0.01,duplicate=0.01,reorder=0.01,"
-      "gap=0.001,max-gap=16\n"
-      "  --fault-seed=N        fault-injection seed (default 0xfa117)\n"
-      "  --degrade             adaptive load shedding + worker\n"
-      "                        supervision (requires --threads)\n"
-      "  --serve               after ingest, answer CLUSTER/NEAREST/\n"
-      "                        ANOMALY/STATS queries on stdin/stdout\n"
-      "                        (docs/serving.md; requires "
-      "--algorithm=umicro)\n"
-      "  --serve-threads=N     query worker threads for --serve "
-      "(default 4)\n"
-      "multi-tenant fleet (docs/fleet.md):\n"
-      "  --tenants=N           run N independent tenant engines behind\n"
-      "                        one fleet (requires --algorithm=umicro;\n"
-      "                        --threads sets the shared worker count)\n"
-      "  --tenant-key=K        record-to-tenant routing: round_robin|\n"
-      "                        hash|label (default round_robin)\n"
-      "distributed merge tree (docs/distributed.md):\n"
-      "  --role=leaf|agg|query leaf ingester, aggregator, or query "
-      "client\n"
-      "  --connect=HOST:PORT   aggregator address (leaf and query "
-      "roles)\n"
-      "  --listen=HOST:PORT    bind address (agg role; port 0 = "
-      "ephemeral)\n"
-      "  --dims=D              stream dimensionality (agg role)\n"
-      "  --leaf-id=N           this leaf's shard slot, dense from 0\n"
-      "  --delta-every=N       ship a state delta every N points "
-      "(default 4096,\n"
-      "                        0 = only the final one)\n"
-      "  --stride=N --offset=K ingest rows with index %% N == K (the\n"
-      "                        round-robin substream of shard K of N)\n"
-      "  --expect-points=N     agg: write --state-out once N points "
-      "merged\n"
-      "  --expect-timeout=T    agg: give up waiting after T seconds "
-      "(default 300)\n"
-      "  --state-out=FILE      canonical micro-cluster dump (agg and\n"
-      "                        standalone; byte-comparable)\n"
-      "  --linger-seconds=T    agg: keep serving T seconds after "
-      "--state-out\n"
-      "  --standby=H:P[,H:P]   leaf: standby aggregator endpoints, tried\n"
-      "                        in order when the primary stops acking\n"
-      "  --start-as-standby    agg: merge warm deltas but report role\n"
-      "                        standby until the leaves fail over here\n"
-      "  --stale-after=T       agg: exclude a leaf silent for T seconds\n"
-      "                        from the merged view (degraded answers)\n"
-      "  --net-chaos=SPEC      deterministic network fault injection,\n"
-      "                        e.g. drop=0.05,delay=0.1,delay-ms=20,"
-      "truncate=0.01,\n"
-      "                        bitflip=0.01,partition=0.02,partition-ms="
-      "300\n"
-      "  --net-chaos-seed=N    chaos seed (default 0xc4a05)\n");
+      "usage: umicro_cli (--input=FILE | --synthetic=NAME) [flags]\n"
+      "       umicro_cli --role=agg|query ... [flags]\n"
+      "Modes: S sequential umicro, T sharded (--threads), B baseline "
+      "--algorithm,\n"
+      "F fleet (--tenants), L/A/Q --role=leaf/agg/query. A flag given to "
+      "a mode\n"
+      "that does not read it is an error (docs/tools.md).\n");
+  for (const Flag& flag : flags) {
+    std::string spec = std::string("--") + flag.name;
+    if (!flag.value.meta.empty()) spec += "=" + flag.value.meta;
+    std::string modes;
+    for (const ModeInfo& info : kModes) {
+      if ((flag.modes & info.mode) != 0) modes += info.letter;
+    }
+    std::fprintf(stderr, "  %-7s %-26s %s", modes.c_str(), spec.c_str(),
+                 flag.help);
+    if (*flag.fallback != '\0') {
+      std::fprintf(stderr, " (default %s)", flag.fallback);
+    }
+    std::fprintf(stderr, "\n");
+  }
 }
+
+/// Applies every default, then argv. Returns 0, or 2 after a diagnostic.
+int ParseArgs(int argc, char** argv, const std::vector<Flag>& flags,
+              CliOptions* cli) {
+  for (const Flag& flag : flags) {
+    if (*flag.fallback != '\0') flag.value.set(flag.name, flag.fallback);
+  }
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string name =
+        arg.rfind("--", 0) == 0 ? arg.substr(2, eq - 2) : std::string();
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const Flag& f) { return name == f.name; });
+    // A switch takes no value; every other flag needs one.
+    if (flag == flags.end() ||
+        flag->value.meta.empty() != (eq == std::string::npos)) {
+      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      PrintUsage(flags);
+      return 2;
+    }
+    const std::string text =
+        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
+    const bool is_switch = flag->value.meta.empty();
+    if (!is_switch && text.empty() && flag->value.empty_is_unset) continue;
+    if (!flag->value.set(flag->name, text)) return 2;
+    cli->given.insert(flag->name);
+  }
+  return 0;
+}
+
+// ---- Flag-on-flag rules ------------------------------------------------
+
+using Opts = const CliOptions&;
+
+struct Rule {
+  bool (*broken)(Opts);
+  const char* message;
+};
+
+bool Baseline(Opts c) { return c.algorithm != Algorithm::kUMicro; }
+
+const Rule kRules[] = {
+    {[](Opts c) { return c.recover && c.checkpoint_dir.empty(); },
+     "--recover requires --checkpoint-dir"},
+    {[](Opts c) {
+       return (c.config.checkpoint.every_points > 0 ||
+               c.config.checkpoint.every_seconds > 0.0) &&
+              c.checkpoint_dir.empty();
+     },
+     "--checkpoint-every/--checkpoint-seconds require --checkpoint-dir"},
+    {[](Opts c) { return !c.checkpoint_dir.empty() && Baseline(c); },
+     "--checkpoint-dir requires --algorithm=umicro (the baselines have no "
+     "serializable engine state)"},
+    {[](Opts c) { return !c.metrics_out.empty() && Baseline(c); },
+     "--metrics-out requires --algorithm=umicro (the baselines are "
+     "uninstrumented)"},
+    {[](Opts c) { return !c.quarantine_out.empty() && !c.bad_record_policy; },
+     "--quarantine-out requires --bad-record-policy"},
+    {[](Opts c) { return !c.inject_faults.empty() && !c.bad_record_policy; },
+     "--inject-faults requires --bad-record-policy (an unhardened engine "
+     "would abort on corrupt records)"},
+    {[](Opts c) { return c.serve && Baseline(c); },
+     "--serve requires --algorithm=umicro (the baselines publish no "
+     "snapshot replica)"},
+    {[](Opts c) { return c.serve && c.config.serve.threads == 0; },
+     "--serve-threads must be at least 1"},
+    {[](Opts c) { return c.config.fleet.tenants > 0 && Baseline(c); },
+     "--tenants requires --algorithm=umicro (the fleet hosts umicro tenant "
+     "engines)"},
+    {[](Opts c) {
+       return c.config.fleet.tenants > 0 && c.role != Role::kStandalone;
+     },
+     "--tenants is incompatible with --role (the fleet is a single-process "
+     "multi-tenant host)"},
+    {[](Opts c) {
+       return (c.Given("snapshot-budget-mb") ||
+               !c.config.snapshot.tiering.spill_dir.empty()) &&
+              c.config.snapshot.tiering.mode != SnapshotStoreMode::kTiered;
+     },
+     "--snapshot-budget-mb/--snapshot-spill-dir require "
+     "--snapshot-store=tiered (full and delta stores never demote frames)"},
+    {[](Opts c) {
+       return c.role == Role::kAgg && (c.listen.empty() || c.dims == 0);
+     },
+     "--role=agg requires --listen and --dims"},
+    {[](Opts c) { return c.role == Role::kQuery && c.connect.empty(); },
+     "--role=query requires --connect"},
+    {[](Opts c) { return c.role == Role::kLeaf && c.connect.empty(); },
+     "--role=leaf requires --connect"},
+    {[](Opts c) { return c.role == Role::kLeaf && Baseline(c); },
+     "--role=leaf requires --algorithm=umicro (the leaf IS one shard)"},
+    {[](Opts c) {
+       return c.role == Role::kLeaf && (c.stride == 0 || c.offset >= c.stride);
+     },
+     "--role=leaf needs --stride >= 1 and --offset < --stride"},
+};
 
 /// Parses the --inject-faults spec ("key=value,..." with keys corrupt,
 /// duplicate, reorder, gap, max-gap); std::nullopt on any malformed or
@@ -388,6 +776,141 @@ std::optional<std::vector<umicro::net::SocketAddress>> ParseStandbyList(
   return endpoints;
 }
 
+/// Every usage error (exit 2), checked before any environment check or
+/// side effect: flag-on-flag rules, the mode rule, the input selection,
+/// then the structured text values.
+int CheckUsage(const std::vector<Flag>& flags, CliOptions* cli) {
+  for (const Rule& rule : kRules) {
+    if (rule.broken(*cli)) {
+      std::fprintf(stderr, "%s\n", rule.message);
+      return 2;
+    }
+  }
+  // A misconfigured process should die at launch, not silently run
+  // without a setting it was given.
+  const Mode mode = RunMode(*cli);
+  for (const Flag& flag : flags) {
+    if ((flag.modes & mode) != 0 || !cli->Given(flag.name)) continue;
+    const std::string requirement = Requirement(flag.modes);
+    const char* mode_name = "";
+    for (const ModeInfo& info : kModes) {
+      if (info.mode == mode) mode_name = info.name;
+    }
+    std::fprintf(stderr, "--%s requires %s (%s runs ignore flags that "
+                 "require %s)\n",
+                 flag.name, requirement.c_str(), mode_name,
+                 requirement.c_str());
+    return 2;
+  }
+  if ((mode & kIngest) != 0 && cli->input.empty() == !cli->synthetic) {
+    std::fprintf(stderr,
+                 "exactly one of --input and --synthetic is required\n");
+    PrintUsage(flags);
+    return 2;
+  }
+  if (!cli->inject_faults.empty()) {
+    cli->faults = ParseFaultSpec(cli->inject_faults, cli->fault_seed);
+    if (!cli->faults.has_value()) {
+      std::fprintf(stderr, "malformed --inject-faults spec: %s\n",
+                   cli->inject_faults.c_str());
+      return 2;
+    }
+  }
+  if (!cli->net_chaos.empty()) {
+    cli->chaos =
+        umicro::net::ParseChaosSpec(cli->net_chaos, cli->net_chaos_seed);
+    if (!cli->chaos.has_value()) {
+      std::fprintf(stderr, "malformed --net-chaos spec: %s\n",
+                   cli->net_chaos.c_str());
+      return 2;
+    }
+  }
+  if (!cli->standby.empty()) {
+    std::optional<std::vector<umicro::net::SocketAddress>> parsed =
+        ParseStandbyList(cli->standby);
+    if (!parsed.has_value()) {
+      std::fprintf(stderr, "malformed --standby list: %s\n",
+                   cli->standby.c_str());
+      return 2;
+    }
+    cli->standbys = std::move(*parsed);
+  }
+  const bool listens = cli->role == Role::kAgg;
+  const std::string& endpoint = listens ? cli->listen : cli->connect;
+  if (!endpoint.empty()) {
+    const std::optional<umicro::net::SocketAddress> address =
+        umicro::net::ParseHostPort(endpoint);
+    if (!address.has_value()) {
+      std::fprintf(stderr, "malformed --%s address: %s\n",
+                   listens ? "listen" : "connect", endpoint.c_str());
+      return 2;
+    }
+    cli->address = *address;
+  }
+  return 0;
+}
+
+/// Environment errors (exit 1): missing input, unwritable destinations,
+/// unusable directories -- with one line, before minutes of work.
+/// Directories are created last, once everything else passed.
+int CheckEnvironment(const CliOptions& cli) {
+  if (!cli.input.empty() && !umicro::util::FileExists(cli.input)) {
+    std::fprintf(stderr, "input file not found: %s\n", cli.input.c_str());
+    return 1;
+  }
+  const struct {
+    const char* name;
+    const std::string& path;
+    const char* suffix;
+  } outputs[] = {
+      {"metrics-out", cli.metrics_out, ".json"},
+      {"centroids-out", cli.centroids_out, ""},
+      {"quarantine-out", cli.quarantine_out, ""},
+      {"state-out", cli.state_out, ""},
+  };
+  for (const auto& output : outputs) {
+    if (!output.path.empty() &&
+        !umicro::util::PathIsWritable(output.path + output.suffix)) {
+      std::fprintf(stderr, "--%s is not writable: %s\n", output.name,
+                   output.path.c_str());
+      return 1;
+    }
+  }
+  if (!cli.checkpoint_dir.empty() &&
+      !umicro::util::EnsureDirectory(cli.checkpoint_dir)) {
+    std::fprintf(stderr, "--checkpoint-dir is not usable: %s\n",
+                 cli.checkpoint_dir.c_str());
+    return 1;
+  }
+  const std::string& spill_dir = cli.config.snapshot.tiering.spill_dir;
+  if (!spill_dir.empty() && !umicro::util::EnsureDirectory(spill_dir)) {
+    std::fprintf(stderr, "cannot create --snapshot-spill-dir: %s\n",
+                 spill_dir.c_str());
+    return 1;
+  }
+  return 0;
+}
+
+/// Completes the config from the flags that feed more than one field.
+void ResolveConfig(CliOptions* cli) {
+  umicro::core::SnapshotTiering& tiering = cli->config.snapshot.tiering;
+  if (tiering.mode == SnapshotStoreMode::kTiered) {
+    tiering.budget_bytes =
+        cli->snapshot_budget_mb * std::size_t{1024} * std::size_t{1024};
+    if (!tiering.spill_dir.empty()) {
+      tiering.codec = umicro::io::MakeSnapshotSpillCodec();
+    }
+  }
+  // The fleet's per-tenant store defaults to delta encoding; an explicit
+  // --snapshot-store overrides it (full for debugging, tiered to cap the
+  // fleet's snapshot bytes).
+  if (cli->Given("snapshot-store")) {
+    cli->config.fleet.snapshot.tiering = tiering;
+  }
+  if (cli->threads > 0) cli->config.fleet.workers = cli->threads;
+  cli->config.fleet.queue_capacity = cli->queue_capacity;
+}
+
 bool EndsWith(const std::string& text, const std::string& suffix) {
   return text.size() >= suffix.size() &&
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) ==
@@ -397,24 +920,17 @@ bool EndsWith(const std::string& text, const std::string& suffix) {
 /// --role=agg: listen, merge leaf deltas, serve queries. No dataset is
 /// loaded; everything arrives over the socket.
 int RunAggregatorRole(const CliOptions& cli) {
-  const std::optional<umicro::net::SocketAddress> listen =
-      umicro::net::ParseHostPort(cli.listen);
-  if (!listen.has_value()) {
-    std::fprintf(stderr, "malformed --listen address: %s\n",
-                 cli.listen.c_str());
-    return 2;
-  }
+  const umicro::core::EngineConfig& config = cli.config;
   umicro::obs::MetricsRegistry metrics;
   umicro::dist::AggregatorOptions options;
-  options.listen = *listen;
+  options.listen = cli.address;
   options.dimensions = cli.dims;
-  options.dimension_threshold = cli.thresh;
-  options.global_budget = cli.nmicro;
-  options.snapshot.snapshot_every = cli.snapshot_every;
-  options.snapshot.tiering = MakeTiering(cli);
-  options.decay_lambda = cli.decay;
-  options.broker.num_threads = cli.serve_threads;
-  options.broker.boundary_factor = cli.boundary;
+  options.dimension_threshold = config.umicro.dimension_threshold;
+  options.global_budget = config.umicro.num_micro_clusters;
+  options.snapshot = config.snapshot;
+  options.decay_lambda = config.umicro.decay_lambda;
+  options.broker = umicro::serve::QueryBrokerOptions::FromConfig(config);
+  options.broker.boundary_factor = config.umicro.boundary_factor;
   options.start_as_standby = cli.start_as_standby;
   options.stale_after_ms =
       static_cast<int>(cli.stale_after * 1000.0 + 0.5);
@@ -425,7 +941,7 @@ int RunAggregatorRole(const CliOptions& cli) {
   }
   // The e2e harness scrapes this line for the resolved (ephemeral)
   // port; keep its exact shape.
-  std::printf("aggregator listening on %s:%u\n", listen->host.c_str(),
+  std::printf("aggregator listening on %s:%u\n", cli.address.host.c_str(),
               static_cast<unsigned>(aggregator.port()));
   std::printf("aggregator role: %s\n", aggregator.role().c_str());
   std::fflush(stdout);
@@ -486,15 +1002,8 @@ int RunAggregatorRole(const CliOptions& cli) {
 /// --role=query: a line-protocol client. Requests come from stdin, one
 /// per line; responses are echoed to stdout in order.
 int RunQueryRole(const CliOptions& cli) {
-  const std::optional<umicro::net::SocketAddress> address =
-      umicro::net::ParseHostPort(cli.connect);
-  if (!address.has_value()) {
-    std::fprintf(stderr, "malformed --connect address: %s\n",
-                 cli.connect.c_str());
-    return 2;
-  }
   std::optional<umicro::net::Socket> socket =
-      umicro::net::TcpConnect(*address, 5000);
+      umicro::net::TcpConnect(cli.address, 5000);
   if (!socket.has_value()) {
     std::fprintf(stderr, "failed to connect to %s\n", cli.connect.c_str());
     return 1;
@@ -535,8 +1044,9 @@ int RunQueryRole(const CliOptions& cli) {
 /// --recover rerun assigns each record to the same tenant and the
 /// per-tenant replay offsets line up exactly.
 std::uint64_t AssignTenant(const umicro::stream::UncertainPoint& point,
-                           std::size_t row, const CliOptions& cli) {
-  if (cli.tenant_key == "hash") {
+                           std::size_t row, TenantKey key,
+                           std::uint64_t tenants) {
+  if (key == TenantKey::kHash) {
     // FNV-1a over the value bytes: stable across runs and hosts.
     std::uint64_t hash = 1469598103934665603ull;
     for (double v : point.values) {
@@ -547,42 +1057,14 @@ std::uint64_t AssignTenant(const umicro::stream::UncertainPoint& point,
         hash *= 1099511628211ull;
       }
     }
-    return hash % cli.tenants;
+    return hash % tenants;
   }
-  if (cli.tenant_key == "label") {
+  if (key == TenantKey::kLabel) {
     const std::uint64_t label =
         point.label < 0 ? 0u : static_cast<std::uint64_t>(point.label);
-    return label % cli.tenants;
+    return label % tenants;
   }
-  return static_cast<std::uint64_t>(row) % cli.tenants;  // round_robin
-}
-
-/// Applies --similarity and --assign-index to a UMicroOptions (shared
-/// by the standalone/sharded/leaf path and the fleet path). Returns
-/// false (with a diagnostic) on an unknown value.
-bool ApplyAssignOptions(const CliOptions& cli,
-                        umicro::core::UMicroOptions* options) {
-  if (cli.similarity == "counting") {
-    options->similarity = umicro::core::SimilarityMode::kDimensionCounting;
-  } else if (cli.similarity == "distance") {
-    options->similarity = umicro::core::SimilarityMode::kExpectedDistance;
-  } else {
-    std::fprintf(stderr,
-                 "unknown similarity: %s (expected counting|distance)\n",
-                 cli.similarity.c_str());
-    return false;
-  }
-  const std::optional<umicro::index::IndexKind> kind =
-      umicro::index::ParseIndexKind(cli.assign_index);
-  if (!kind.has_value()) {
-    std::fprintf(
-        stderr,
-        "unknown assign index: %s (expected flat|kdtree|auto)\n",
-        cli.assign_index.c_str());
-    return false;
-  }
-  options->assign_index = *kind;
-  return true;
+  return static_cast<std::uint64_t>(row) % tenants;  // round_robin
 }
 
 /// The --tenants path: one EngineFleet instead of one engine. The
@@ -590,25 +1072,7 @@ bool ApplyAssignOptions(const CliOptions& cli,
 /// see exactly the stream a single-engine run would.
 int RunFleetMode(const CliOptions& cli,
                  const umicro::stream::Dataset& dataset) {
-  umicro::core::EngineConfig config;
-  config.umicro.num_micro_clusters = cli.nmicro;
-  config.umicro.boundary_factor = cli.boundary;
-  config.umicro.dimension_threshold = cli.thresh;
-  config.umicro.decay_lambda = cli.decay;
-  if (!ApplyAssignOptions(cli, &config.umicro)) return 2;
-  config.fleet.tenants = cli.tenants;
-  // The fleet's per-tenant store defaults to delta encoding; an explicit
-  // --snapshot-store overrides it (full for debugging, tiered to cap the
-  // fleet's snapshot bytes).
-  if (!cli.snapshot_store.empty()) {
-    config.fleet.snapshot.tiering = MakeTiering(cli);
-  }
-  if (cli.threads > 0) config.fleet.workers = cli.threads;
-  config.fleet.queue_capacity = cli.queue_capacity;
-  config.serve.threads = cli.serve_threads;
-  config.checkpoint.dir = cli.checkpoint_dir;
-  config.checkpoint.every_points = cli.checkpoint_every;
-  config.checkpoint.every_seconds = cli.checkpoint_seconds;
+  const umicro::core::EngineConfig& config = cli.config;
 
   std::unique_ptr<umicro::fleet::EngineFleet> fleet;
   std::map<std::uint64_t, std::uint64_t> resume_from;
@@ -633,9 +1097,8 @@ int RunFleetMode(const CliOptions& cli,
         dataset.dimensions(), config);
   }
   std::printf("fleet: %zu tenants on %zu workers (%s routing)\n",
-              cli.tenants,
-              cli.threads > 0 ? cli.threads : config.fleet.workers,
-              cli.tenant_key.c_str());
+              config.fleet.tenants, config.fleet.workers,
+              NameOf(kTenantKeys, cli.tenant_key));
 
   std::unique_ptr<umicro::fleet::FleetCheckpointer> checkpointer;
   if (!cli.checkpoint_dir.empty()) {
@@ -663,7 +1126,8 @@ int RunFleetMode(const CliOptions& cli,
   std::uint64_t ingested = 0;
   std::uint64_t skipped = 0;
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    const std::uint64_t tenant = AssignTenant(dataset[i], i, cli);
+    const std::uint64_t tenant =
+        AssignTenant(dataset[i], i, cli.tenant_key, config.fleet.tenants);
     const std::uint64_t position = routed[tenant]++;
     const auto offset = resume_from.find(tenant);
     if (offset != resume_from.end() && position < offset->second) {
@@ -720,7 +1184,7 @@ int RunFleetMode(const CliOptions& cli,
     std::printf("serving %zu tenants on stdin/stdout with %zu query "
                 "threads (HELLO/TENANT/CLUSTER/NEAREST/ANOMALY/STATS/"
                 "QUIT)\n",
-                fleet->tenant_count(), cli.serve_threads);
+                fleet->tenant_count(), config.serve.threads);
     std::fflush(stdout);
     const std::size_t served =
         umicro::serve::ServeLineProtocol(broker, std::cin, std::cout);
@@ -745,470 +1209,41 @@ int RunFleetMode(const CliOptions& cli,
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (ParseFlag(arg, "input", &value)) {
-      cli.input = value;
-    } else if (ParseFlag(arg, "synthetic", &value)) {
-      cli.synthetic = value;
-    } else if (ParseFlag(arg, "points", &value)) {
-      if (!ParseNumber(arg, value, &cli.points)) return 2;
-    } else if (ParseFlag(arg, "algorithm", &value)) {
-      cli.algorithm = value;
-    } else if (ParseFlag(arg, "nmicro", &value)) {
-      if (!ParseNumber(arg, value, &cli.nmicro)) return 2;
-    } else if (ParseFlag(arg, "boundary", &value)) {
-      if (!ParseNumber(arg, value, &cli.boundary)) return 2;
-    } else if (ParseFlag(arg, "thresh", &value)) {
-      if (!ParseNumber(arg, value, &cli.thresh)) return 2;
-    } else if (ParseFlag(arg, "decay", &value)) {
-      if (!ParseNumber(arg, value, &cli.decay)) return 2;
-    } else if (ParseFlag(arg, "similarity", &value)) {
-      cli.similarity = value;
-    } else if (ParseFlag(arg, "assign-index", &value)) {
-      cli.assign_index = value;
-    } else if (ParseFlag(arg, "eta", &value)) {
-      if (!ParseNumber(arg, value, &cli.eta)) return 2;
-    } else if (arg == "--impute") {
-      cli.impute = true;
-    } else if (arg == "--describe") {
-      cli.describe = true;
-    } else if (arg == "--no-header") {
-      cli.no_header = true;
-    } else if (ParseFlag(arg, "threads", &value)) {
-      if (!ParseNumber(arg, value, &cli.threads)) return 2;
-    } else if (ParseFlag(arg, "merge-every", &value)) {
-      if (!ParseNumber(arg, value, &cli.merge_every)) return 2;
-    } else if (ParseFlag(arg, "backpressure", &value)) {
-      cli.backpressure = value;
-    } else if (ParseFlag(arg, "queue-capacity", &value)) {
-      if (!ParseNumber(arg, value, &cli.queue_capacity)) return 2;
-    } else if (ParseFlag(arg, "snapshot-every", &value)) {
-      if (!ParseNumber(arg, value, &cli.snapshot_every)) return 2;
-    } else if (ParseFlag(arg, "snapshot-store", &value)) {
-      cli.snapshot_store = value;
-    } else if (ParseFlag(arg, "snapshot-budget-mb", &value)) {
-      if (!ParseNumber(arg, value, &cli.snapshot_budget_mb)) return 2;
-      cli.snapshot_budget_set = true;
-    } else if (ParseFlag(arg, "snapshot-spill-dir", &value)) {
-      cli.snapshot_spill_dir = value;
-    } else if (ParseFlag(arg, "metrics-out", &value)) {
-      cli.metrics_out = value;
-    } else if (ParseFlag(arg, "metrics-every", &value)) {
-      if (!ParseNumber(arg, value, &cli.metrics_every)) return 2;
-    } else if (ParseFlag(arg, "sample-interval", &value)) {
-      if (!ParseNumber(arg, value, &cli.sample_interval)) return 2;
-    } else if (ParseFlag(arg, "batch", &value)) {
-      if (!ParseNumber(arg, value, &cli.batch)) return 2;
-    } else if (ParseFlag(arg, "max-rows", &value)) {
-      if (!ParseNumber(arg, value, &cli.max_rows)) return 2;
-    } else if (ParseFlag(arg, "centroids-out", &value)) {
-      cli.centroids_out = value;
-    } else if (ParseFlag(arg, "checkpoint-dir", &value)) {
-      cli.checkpoint_dir = value;
-    } else if (ParseFlag(arg, "checkpoint-every", &value)) {
-      if (!ParseNumber(arg, value, &cli.checkpoint_every)) return 2;
-    } else if (ParseFlag(arg, "checkpoint-seconds", &value)) {
-      if (!ParseNumber(arg, value, &cli.checkpoint_seconds)) return 2;
-    } else if (arg == "--recover") {
-      cli.recover = true;
-    } else if (ParseFlag(arg, "bad-record-policy", &value)) {
-      cli.bad_record_policy = value;
-    } else if (ParseFlag(arg, "quarantine-out", &value)) {
-      cli.quarantine_out = value;
-    } else if (ParseFlag(arg, "inject-faults", &value)) {
-      cli.inject_faults = value;
-    } else if (ParseFlag(arg, "fault-seed", &value)) {
-      if (!ParseNumber(arg, value, &cli.fault_seed, 0)) return 2;
-    } else if (arg == "--degrade") {
-      cli.degrade = true;
-    } else if (arg == "--serve") {
-      cli.serve = true;
-    } else if (ParseFlag(arg, "serve-threads", &value)) {
-      if (!ParseNumber(arg, value, &cli.serve_threads)) return 2;
-    } else if (ParseFlag(arg, "tenants", &value)) {
-      if (!ParseNumber(arg, value, &cli.tenants)) return 2;
-    } else if (ParseFlag(arg, "tenant-key", &value)) {
-      cli.tenant_key = value;
-    } else if (ParseFlag(arg, "role", &value)) {
-      cli.role = value;
-    } else if (ParseFlag(arg, "connect", &value)) {
-      cli.connect = value;
-    } else if (ParseFlag(arg, "listen", &value)) {
-      cli.listen = value;
-    } else if (ParseFlag(arg, "dims", &value)) {
-      if (!ParseNumber(arg, value, &cli.dims)) return 2;
-    } else if (ParseFlag(arg, "leaf-id", &value)) {
-      if (!ParseNumber(arg, value, &cli.leaf_id)) return 2;
-    } else if (ParseFlag(arg, "delta-every", &value)) {
-      if (!ParseNumber(arg, value, &cli.delta_every)) return 2;
-      cli.delta_every_set = true;
-    } else if (ParseFlag(arg, "stride", &value)) {
-      if (!ParseNumber(arg, value, &cli.stride)) return 2;
-      cli.stride_set = true;
-    } else if (ParseFlag(arg, "offset", &value)) {
-      if (!ParseNumber(arg, value, &cli.offset)) return 2;
-      cli.offset_set = true;
-    } else if (ParseFlag(arg, "standby", &value)) {
-      cli.standby = value;
-    } else if (arg == "--start-as-standby") {
-      cli.start_as_standby = true;
-    } else if (ParseFlag(arg, "stale-after", &value)) {
-      if (!ParseNumber(arg, value, &cli.stale_after)) return 2;
-    } else if (ParseFlag(arg, "net-chaos", &value)) {
-      cli.net_chaos = value;
-    } else if (ParseFlag(arg, "net-chaos-seed", &value)) {
-      if (!ParseNumber(arg, value, &cli.net_chaos_seed, 0)) return 2;
-    } else if (ParseFlag(arg, "expect-points", &value)) {
-      if (!ParseNumber(arg, value, &cli.expect_points)) return 2;
-    } else if (ParseFlag(arg, "expect-timeout", &value)) {
-      if (!ParseNumber(arg, value, &cli.expect_timeout)) return 2;
-    } else if (ParseFlag(arg, "state-out", &value)) {
-      cli.state_out = value;
-    } else if (ParseFlag(arg, "linger-seconds", &value)) {
-      if (!ParseNumber(arg, value, &cli.linger_seconds)) return 2;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      PrintUsage();
-      return 2;
-    }
+  const std::vector<Flag> flags = MakeFlags(&cli);
+  if (const int status = ParseArgs(argc, argv, flags, &cli); status != 0) {
+    return status;
   }
-  // Values the library's constructors would abort on are usage errors.
-  if (cli.nmicro == 0 || cli.sample_interval == 0 ||
-      cli.queue_capacity == 0) {
-    std::fprintf(stderr, "--nmicro, --sample-interval and --queue-capacity "
-                 "must be at least 1\n");
-    return 2;
-  }
-  if (cli.boundary <= 0.0 || cli.thresh <= 0.0) {
-    std::fprintf(stderr, "--boundary and --thresh must be > 0\n");
-    return 2;
-  }
-  if (cli.decay < 0.0 || cli.eta < 0.0) {
-    std::fprintf(stderr, "--decay and --eta must be >= 0\n");
-    return 2;
-  }
-  // Snapshot-store flags are validated before the role dispatch: every
-  // role that owns a pyramidal store honors them.
-  if (!cli.snapshot_store.empty() && cli.snapshot_store != "full" &&
-      cli.snapshot_store != "delta" && cli.snapshot_store != "tiered") {
-    std::fprintf(stderr,
-                 "unknown --snapshot-store: %s (want full, delta, or "
-                 "tiered)\n",
-                 cli.snapshot_store.c_str());
-    return 2;
-  }
-  if ((cli.snapshot_budget_set || !cli.snapshot_spill_dir.empty()) &&
-      cli.snapshot_store != "tiered") {
-    std::fprintf(stderr,
-                 "--snapshot-budget-mb/--snapshot-spill-dir require "
-                 "--snapshot-store=tiered (full and delta stores never "
-                 "demote frames)\n");
-    return 2;
-  }
-  if (!cli.snapshot_spill_dir.empty() &&
-      !umicro::util::EnsureDirectory(cli.snapshot_spill_dir)) {
-    std::fprintf(stderr, "cannot create --snapshot-spill-dir: %s\n",
-                 cli.snapshot_spill_dir.c_str());
-    return 1;
-  }
-  // ---- Distributed roles ---------------------------------------------
-  // agg and query never load a dataset; they are dispatched before the
-  // standalone/leaf validation below.
-  if (!cli.role.empty() && cli.role != "leaf" && cli.role != "agg" &&
-      cli.role != "query") {
-    std::fprintf(stderr, "unknown --role: %s (want leaf, agg, or query)\n",
-                 cli.role.c_str());
-    return 2;
-  }
-  // Role/flag combinations fail fast (exit 2) before any socket or
-  // dataset work: a misconfigured process in a multi-host topology
-  // should die at launch, not half-participate.
-  if (cli.role != "leaf") {
-    if (!cli.standby.empty()) {
-      std::fprintf(stderr,
-                   "--standby requires --role=leaf (the leaf owns the "
-                   "failover order; an aggregator is an endpoint, not a "
-                   "chooser)\n");
-      return 2;
-    }
-    if (cli.delta_every_set || cli.stride_set || cli.offset_set) {
-      std::fprintf(stderr,
-                   "--delta-every/--stride/--offset require --role=leaf\n");
-      return 2;
-    }
-  }
-  if (cli.role != "agg") {
-    if (cli.start_as_standby) {
-      std::fprintf(stderr, "--start-as-standby requires --role=agg\n");
-      return 2;
-    }
-    if (cli.stale_after != 0.0) {
-      std::fprintf(stderr, "--stale-after requires --role=agg\n");
-      return 2;
-    }
-  }
-  if (cli.stale_after < 0.0) {
-    std::fprintf(stderr, "--stale-after must be >= 0 seconds\n");
-    return 2;
-  }
-  std::optional<umicro::net::ChaosOptions> chaos_options;
-  if (!cli.net_chaos.empty()) {
-    if (cli.role != "leaf" && cli.role != "agg") {
-      std::fprintf(stderr,
-                   "--net-chaos requires --role=leaf or --role=agg (it "
-                   "wraps the merge tree's sockets)\n");
-      return 2;
-    }
-    chaos_options =
-        umicro::net::ParseChaosSpec(cli.net_chaos, cli.net_chaos_seed);
-    if (!chaos_options.has_value()) {
-      std::fprintf(stderr, "malformed --net-chaos spec: %s\n",
-                   cli.net_chaos.c_str());
-      return 2;
-    }
-  }
-  std::vector<umicro::net::SocketAddress> standby_endpoints;
-  if (!cli.standby.empty()) {
-    std::optional<std::vector<umicro::net::SocketAddress>> parsed =
-        ParseStandbyList(cli.standby);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "malformed --standby list: %s\n",
-                   cli.standby.c_str());
-      return 2;
-    }
-    standby_endpoints = std::move(*parsed);
-  }
-  if (chaos_options.has_value()) {
-    umicro::net::ChaosTransport::Instance().Enable(*chaos_options);
+  if (const int status = CheckUsage(flags, &cli); status != 0) return status;
+  if (const int status = CheckEnvironment(cli); status != 0) return status;
+  ResolveConfig(&cli);
+  const umicro::core::EngineConfig& config = cli.config;
+  const Mode mode = RunMode(cli);
+
+  if (cli.chaos.has_value()) {
+    umicro::net::ChaosTransport::Instance().Enable(*cli.chaos);
     std::fprintf(stderr, "net chaos enabled: %s (seed %llu)\n",
                  cli.net_chaos.c_str(),
                  static_cast<unsigned long long>(cli.net_chaos_seed));
   }
-  if (cli.role == "agg") {
-    if (cli.listen.empty() || cli.dims == 0) {
-      std::fprintf(stderr, "--role=agg requires --listen and --dims\n");
-      return 2;
-    }
-    if (!cli.state_out.empty() &&
-        !umicro::util::PathIsWritable(cli.state_out)) {
-      std::fprintf(stderr, "--state-out is not writable: %s\n",
-                   cli.state_out.c_str());
-      return 1;
-    }
-    return RunAggregatorRole(cli);
-  }
-  if (cli.role == "query") {
-    if (cli.connect.empty()) {
-      std::fprintf(stderr, "--role=query requires --connect\n");
-      return 2;
-    }
-    return RunQueryRole(cli);
-  }
-  const bool leaf_role = cli.role == "leaf";
-  if (leaf_role) {
-    if (cli.connect.empty()) {
-      std::fprintf(stderr, "--role=leaf requires --connect\n");
-      return 2;
-    }
-    if (cli.algorithm != "umicro" || cli.threads > 0 || cli.serve) {
-      std::fprintf(stderr,
-                   "--role=leaf requires --algorithm=umicro without "
-                   "--threads or --serve (the leaf IS one shard; the "
-                   "aggregator serves)\n");
-      return 2;
-    }
-    if (cli.stride == 0 || cli.offset >= cli.stride) {
-      std::fprintf(stderr,
-                   "--role=leaf needs --stride >= 1 and --offset < "
-                   "--stride\n");
-      return 2;
-    }
-    if (!umicro::net::ParseHostPort(cli.connect).has_value()) {
-      std::fprintf(stderr, "malformed --connect address: %s\n",
-                   cli.connect.c_str());
-      return 2;
-    }
-  }
-
-  if (cli.input.empty() == cli.synthetic.empty()) {
-    std::fprintf(stderr,
-                 "exactly one of --input and --synthetic is required\n");
-    PrintUsage();
-    return 2;
-  }
-
-  // ---- Fail fast: flag combinations ----------------------------------
-  // Usage errors exit 2 before any work is done.
-  const bool checkpointing = !cli.checkpoint_dir.empty();
-  if (cli.recover && !checkpointing) {
-    std::fprintf(stderr, "--recover requires --checkpoint-dir\n");
-    return 2;
-  }
-  if ((cli.checkpoint_every > 0 || cli.checkpoint_seconds > 0.0) &&
-      !checkpointing) {
-    std::fprintf(stderr,
-                 "--checkpoint-every/--checkpoint-seconds require "
-                 "--checkpoint-dir\n");
-    return 2;
-  }
-  if (checkpointing && cli.algorithm != "umicro") {
-    std::fprintf(stderr,
-                 "--checkpoint-dir requires --algorithm=umicro (the "
-                 "baselines have no serializable engine state)\n");
-    return 2;
-  }
-  if (cli.degrade && cli.threads == 0) {
-    std::fprintf(stderr,
-                 "--degrade requires --threads (load shedding lives in "
-                 "the sharded pipeline)\n");
-    return 2;
-  }
-  if (!cli.quarantine_out.empty() && cli.bad_record_policy.empty()) {
-    std::fprintf(stderr,
-                 "--quarantine-out requires --bad-record-policy\n");
-    return 2;
-  }
-  if (cli.batch == 0) {
-    std::fprintf(stderr, "--batch must be at least 1\n");
-    return 2;
-  }
-  if (!cli.inject_faults.empty() && cli.bad_record_policy.empty()) {
-    std::fprintf(stderr,
-                 "--inject-faults requires --bad-record-policy (an "
-                 "unhardened engine would abort on corrupt records)\n");
-    return 2;
-  }
-  if (cli.serve && cli.algorithm != "umicro") {
-    std::fprintf(stderr,
-                 "--serve requires --algorithm=umicro (the baselines "
-                 "publish no snapshot replica)\n");
-    return 2;
-  }
-  if (cli.serve && cli.serve_threads == 0) {
-    std::fprintf(stderr, "--serve-threads must be at least 1\n");
-    return 2;
-  }
-  if (cli.tenant_key != "round_robin" && cli.tenant_key != "hash" &&
-      cli.tenant_key != "label") {
-    std::fprintf(stderr,
-                 "unknown --tenant-key: %s (want round_robin, hash, or "
-                 "label)\n",
-                 cli.tenant_key.c_str());
-    return 2;
-  }
-  if (cli.tenants > 0) {
-    if (cli.algorithm != "umicro") {
-      std::fprintf(stderr,
-                   "--tenants requires --algorithm=umicro (the fleet "
-                   "hosts umicro tenant engines)\n");
-      return 2;
-    }
-    if (!cli.role.empty()) {
-      std::fprintf(stderr,
-                   "--tenants is incompatible with --role (the fleet is "
-                   "a single-process multi-tenant host)\n");
-      return 2;
-    }
-    if (cli.degrade) {
-      std::fprintf(stderr,
-                   "--degrade applies to the sharded pipeline, not the "
-                   "fleet\n");
-      return 2;
-    }
-    if (!cli.state_out.empty() || !cli.centroids_out.empty() ||
-        cli.describe) {
-      std::fprintf(stderr,
-                   "--state-out/--centroids-out/--describe are "
-                   "single-engine outputs; a fleet has one state per "
-                   "tenant (query it via --serve)\n");
-      return 2;
-    }
-  }
-  std::optional<umicro::resilience::BadRecordPolicy> bad_record_policy;
-  if (!cli.bad_record_policy.empty()) {
-    bad_record_policy =
-        umicro::resilience::ParseBadRecordPolicy(cli.bad_record_policy);
-    if (!bad_record_policy.has_value()) {
-      std::fprintf(stderr,
-                   "unknown --bad-record-policy: %s (want repair, "
-                   "quarantine, or drop)\n",
-                   cli.bad_record_policy.c_str());
-      return 2;
-    }
-  }
-  std::optional<umicro::resilience::FaultInjectionOptions> fault_options;
-  if (!cli.inject_faults.empty()) {
-    fault_options = ParseFaultSpec(cli.inject_faults, cli.fault_seed);
-    if (!fault_options.has_value()) {
-      std::fprintf(stderr, "malformed --inject-faults spec: %s\n",
-                   cli.inject_faults.c_str());
-      return 2;
-    }
-  }
-
-  // ---- Fail fast: paths ----------------------------------------------
-  // Environment errors (missing input, unwritable destinations) exit 1
-  // with one line, before minutes of clustering work.
-  if (!cli.input.empty() && !umicro::util::FileExists(cli.input)) {
-    std::fprintf(stderr, "input file not found: %s\n", cli.input.c_str());
-    return 1;
-  }
-  if (!cli.metrics_out.empty() &&
-      !umicro::util::PathIsWritable(cli.metrics_out + ".json")) {
-    std::fprintf(stderr, "--metrics-out is not writable: %s\n",
-                 cli.metrics_out.c_str());
-    return 1;
-  }
-  if (!cli.centroids_out.empty() &&
-      !umicro::util::PathIsWritable(cli.centroids_out)) {
-    std::fprintf(stderr, "--centroids-out is not writable: %s\n",
-                 cli.centroids_out.c_str());
-    return 1;
-  }
-  if (!cli.quarantine_out.empty() &&
-      !umicro::util::PathIsWritable(cli.quarantine_out)) {
-    std::fprintf(stderr, "--quarantine-out is not writable: %s\n",
-                 cli.quarantine_out.c_str());
-    return 1;
-  }
-  if (!cli.state_out.empty() &&
-      !umicro::util::PathIsWritable(cli.state_out)) {
-    std::fprintf(stderr, "--state-out is not writable: %s\n",
-                 cli.state_out.c_str());
-    return 1;
-  }
-  if (checkpointing && !umicro::util::EnsureDirectory(cli.checkpoint_dir)) {
-    std::fprintf(stderr, "--checkpoint-dir is not usable: %s\n",
-                 cli.checkpoint_dir.c_str());
-    return 1;
-  }
+  // agg and query never load a dataset.
+  if (mode == kAgg) return RunAggregatorRole(cli);
+  if (mode == kQuery) return RunQueryRole(cli);
+  const bool leaf_role = mode == kLeaf;
 
   // ---- Load ----------------------------------------------------------
   umicro::stream::Dataset dataset;
   umicro::io::DatasetLoadStats load_stats;
-  if (!cli.synthetic.empty()) {
+  if (cli.synthetic != nullptr) {
     // The workloads already carry the eta perturbation; do not perturb
     // a second time below.
     const double eta = cli.eta;
     cli.eta = 0.0;
     std::size_t points = cli.points;
     if (cli.max_rows != 0) points = std::min(points, cli.max_rows);
-    if (cli.synthetic == "syndrift") {
-      dataset = umicro::synth::MakeSynDriftWorkload(points, eta);
-    } else if (cli.synthetic == "network") {
-      dataset = umicro::synth::MakeNetworkWorkload(points, eta);
-    } else if (cli.synthetic == "forest") {
-      dataset = umicro::synth::MakeForestWorkload(points, eta);
-    } else {
-      std::fprintf(stderr, "unknown synthetic workload: %s\n",
-                   cli.synthetic.c_str());
-      return 2;
-    }
+    dataset = cli.synthetic(points, eta);
     std::printf("generated %zu records x %zu dimensions (%s, eta=%.2f)\n",
-                dataset.size(), dataset.dimensions(), cli.synthetic.c_str(),
-                eta);
+                dataset.size(), dataset.dimensions(),
+                NameOf(kWorkloads, cli.synthetic), eta);
   } else if (EndsWith(cli.input, ".arff")) {
     auto loaded = umicro::io::ReadArffDataset(cli.input);
     if (!loaded.has_value()) {
@@ -1255,19 +1290,20 @@ int main(int argc, char** argv) {
   // with the same seed replays the identical hardened stream.
   umicro::resilience::FaultInjectionStats fault_stats;
   umicro::resilience::ValidationStats validation_stats;
-  const bool validating = bad_record_policy.has_value();
+  const bool validating = cli.bad_record_policy.has_value();
   if (validating) {
     umicro::stream::VectorStream raw(dataset);
     umicro::stream::StreamSource* tail = &raw;
     std::unique_ptr<umicro::resilience::FaultInjectingStream> injector;
-    if (fault_options.has_value()) {
+    if (cli.faults.has_value()) {
       injector = std::make_unique<umicro::resilience::FaultInjectingStream>(
-          tail, *fault_options);
+          tail, *cli.faults);
       tail = injector.get();
     }
     umicro::resilience::ValidationOptions validation_options;
     validation_options.policies =
-        umicro::resilience::ValidationPolicies::Uniform(*bad_record_policy);
+        umicro::resilience::ValidationPolicies::Uniform(
+            *cli.bad_record_policy);
     validation_options.quarantine_path = cli.quarantine_out;
     umicro::resilience::ValidatingStream validator(
         tail, dataset.dimensions(), validation_options);
@@ -1362,7 +1398,7 @@ int main(int argc, char** argv) {
   // Dispatched after every deterministic input transform, so tenant
   // substreams match what a single-engine run over the same flags would
   // have ingested.
-  if (cli.tenants > 0) return RunFleetMode(cli, dataset);
+  if (mode == kFleet) return RunFleetMode(cli, dataset);
 
   // ---- Build the clusterer --------------------------------------------
   // The umicro algorithm runs behind the unified engine interface --
@@ -1370,60 +1406,34 @@ int main(int argc, char** argv) {
   // implement the plain StreamClusterer contract.
   std::unique_ptr<umicro::core::ClusteringEngine> engine;
   std::unique_ptr<umicro::stream::StreamClusterer> baseline;
-  const umicro::core::UMicro* umicro_ptr = nullptr;
   std::uint64_t resume_from = 0;
-  if (cli.algorithm == "umicro") {
-    umicro::core::UMicroOptions umicro_options;
-    umicro_options.num_micro_clusters = cli.nmicro;
-    umicro_options.boundary_factor = cli.boundary;
-    umicro_options.dimension_threshold = cli.thresh;
-    umicro_options.decay_lambda = cli.decay;
-    if (!ApplyAssignOptions(cli, &umicro_options)) return 2;
-    umicro::core::SnapshotPolicy snapshot;
-    snapshot.snapshot_every = cli.snapshot_every;
-    snapshot.tiering = MakeTiering(cli);
+  if (cli.algorithm == Algorithm::kUMicro) {
     // Recovery needs a factory: RecoverOrCreateEngine builds the engine
     // fresh and restores the newest compatible checkpoint into it.
+    const std::size_t dims = dataset.dimensions();
     std::function<std::unique_ptr<umicro::core::ClusteringEngine>()> factory;
-    if (cli.threads > 0) {
+    if (mode == kSharded) {
       umicro::parallel::ParallelEngineOptions options;
-      options.sharded.umicro = umicro_options;
+      options.sharded.umicro = config.umicro;
       options.sharded.num_shards = cli.threads;
       options.sharded.merge_every = cli.merge_every;
       options.sharded.queue_capacity = cli.queue_capacity;
-      if (cli.backpressure == "block") {
-        options.sharded.backpressure =
-            umicro::parallel::BackpressurePolicy::kBlock;
-      } else if (cli.backpressure == "drop_oldest") {
-        options.sharded.backpressure =
-            umicro::parallel::BackpressurePolicy::kDropOldest;
-      } else if (cli.backpressure == "drop_newest") {
-        options.sharded.backpressure =
-            umicro::parallel::BackpressurePolicy::kDropNewest;
-      } else {
-        std::fprintf(stderr, "unknown backpressure policy: %s\n",
-                     cli.backpressure.c_str());
-        return 2;
-      }
+      options.sharded.backpressure = cli.backpressure;
       options.sharded.degrade.enabled = cli.degrade;
       options.sharded.supervisor.enabled = cli.degrade;
-      options.snapshot = snapshot;
-      const std::size_t dims = dataset.dimensions();
+      options.snapshot = config.snapshot;
       factory = [dims, options]() {
         return std::make_unique<umicro::parallel::ParallelUMicroEngine>(
             dims, options);
       };
       std::printf("sharded ingest: %zu threads, merge every %zu points, "
                   "%s backpressure%s\n",
-                  cli.threads, cli.merge_every, cli.backpressure.c_str(),
+                  cli.threads, cli.merge_every,
+                  NameOf(kBackpressures, cli.backpressure),
                   cli.degrade ? ", adaptive degradation armed" : "");
     } else {
-      umicro::core::EngineOptions options;
-      options.umicro = umicro_options;
-      options.snapshot = snapshot;
-      const std::size_t dims = dataset.dimensions();
-      factory = [dims, options]() {
-        return std::make_unique<umicro::core::UMicroEngine>(dims, options);
+      factory = [dims, &config]() {
+        return std::make_unique<umicro::core::UMicroEngine>(dims, config);
       };
     }
     if (cli.recover) {
@@ -1448,24 +1458,17 @@ int main(int argc, char** argv) {
     } else {
       engine = factory();
     }
-    if (auto* sequential =
-            dynamic_cast<umicro::core::UMicroEngine*>(engine.get())) {
-      umicro_ptr = &sequential->online();
-    }
-  } else if (cli.algorithm == "clustream") {
+  } else if (cli.algorithm == Algorithm::kCluStream) {
     umicro::baseline::CluStreamOptions options;
-    options.num_micro_clusters = cli.nmicro;
-    options.boundary_factor = cli.boundary;
+    options.num_micro_clusters = config.umicro.num_micro_clusters;
+    options.boundary_factor = config.umicro.boundary_factor;
     baseline = std::make_unique<umicro::baseline::CluStream>(
         dataset.dimensions(), options);
-  } else if (cli.algorithm == "stream-kmeans") {
+  } else {
     umicro::baseline::StreamKMeansOptions options;
-    options.k = cli.nmicro;
+    options.k = config.umicro.num_micro_clusters;
     baseline = std::make_unique<umicro::baseline::StreamKMeans>(
         dataset.dimensions(), options);
-  } else {
-    std::fprintf(stderr, "unknown algorithm: %s\n", cli.algorithm.c_str());
-    return 2;
   }
   umicro::stream::StreamClusterer& clusterer =
       engine != nullptr ? static_cast<umicro::stream::StreamClusterer&>(
@@ -1477,11 +1480,8 @@ int main(int argc, char** argv) {
   // mirrored into the read replica as it is taken (docs/serving.md).
   std::unique_ptr<umicro::serve::SnapshotReadReplica> replica;
   if (cli.serve) {
-    umicro::core::SnapshotPolicy serve_policy;
-    serve_policy.snapshot_every = cli.snapshot_every;
-    serve_policy.tiering = MakeTiering(cli);
     replica = std::make_unique<umicro::serve::SnapshotReadReplica>(
-        serve_policy, cli.decay);
+        config.snapshot, config.umicro.decay_lambda);
     engine->AttachSnapshotSink(replica.get());
   }
 
@@ -1514,7 +1514,7 @@ int main(int argc, char** argv) {
       metrics.GetCounter("resilience.bad.timestamp")
           .Increment(validation_stats.bad_timestamps);
     }
-    if (fault_options.has_value()) {
+    if (cli.faults.has_value()) {
       metrics.GetCounter("resilience.fault.corrupted")
           .Increment(fault_stats.records_corrupted);
       metrics.GetCounter("resilience.fault.duplicated")
@@ -1528,10 +1528,10 @@ int main(int argc, char** argv) {
 
   // ---- Checkpointing --------------------------------------------------
   std::unique_ptr<umicro::resilience::CheckpointManager> checkpointer;
-  if (checkpointing) {
+  if (!cli.checkpoint_dir.empty()) {
     umicro::resilience::CheckpointPolicy policy;
-    policy.every_points = cli.checkpoint_every;
-    policy.every_seconds = cli.checkpoint_seconds;
+    policy.every_points = config.checkpoint.every_points;
+    policy.every_seconds = config.checkpoint.every_seconds;
     checkpointer = std::make_unique<umicro::resilience::CheckpointManager>(
         cli.checkpoint_dir, policy);
   }
@@ -1553,12 +1553,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<umicro::obs::MetricsExporter> exporter;
   umicro::eval::ProgressFn progress;
   if (!cli.metrics_out.empty()) {
-    if (engine == nullptr) {
-      std::fprintf(stderr,
-                   "--metrics-out requires --algorithm=umicro (the "
-                   "baselines are uninstrumented)\n");
-      return 2;
-    }
     exporter = std::make_unique<umicro::obs::MetricsExporter>(
         &engine->metrics(), cli.metrics_out, cli.metrics_every);
   }
@@ -1566,8 +1560,8 @@ int main(int argc, char** argv) {
     umicro::obs::MetricsExporter* exporter_raw =
         cli.metrics_every > 0 ? exporter.get() : nullptr;
     umicro::resilience::CheckpointManager* checkpointer_raw =
-        (checkpointer != nullptr &&
-         (cli.checkpoint_every > 0 || cli.checkpoint_seconds > 0.0))
+        (checkpointer != nullptr && (config.checkpoint.every_points > 0 ||
+                                     config.checkpoint.every_seconds > 0.0))
             ? checkpointer.get()
             : nullptr;
     umicro::core::ClusteringEngine* engine_raw = engine.get();
@@ -1594,15 +1588,13 @@ int main(int argc, char** argv) {
     umicro::dist::LeafShipperOptions ship_options;
     ship_options.leaf_id = cli.leaf_id;
     ship_options.dimensions = dataset.dimensions();
-    ship_options.standbys = standby_endpoints;
-    shipper.emplace(*umicro::net::ParseHostPort(cli.connect), ship_options,
-                    &engine->metrics());
+    ship_options.standbys = cli.standbys;
+    shipper.emplace(cli.address, ship_options, &engine->metrics());
     std::printf("leaf %llu: shipping to %s every %zu points"
                 " (%zu standby%s)\n",
                 static_cast<unsigned long long>(cli.leaf_id),
                 cli.connect.c_str(), cli.delta_every,
-                standby_endpoints.size(),
-                standby_endpoints.size() == 1 ? "" : "s");
+                cli.standbys.size(), cli.standbys.size() == 1 ? "" : "s");
     std::fflush(stdout);
     const auto started = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < dataset.size(); ++i) {
@@ -1653,7 +1645,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Final delta ship ------------------------------------------------
-  if (leaf_role && shipper.has_value()) {
+  if (shipper.has_value()) {
     const std::uint64_t done = engine->points_processed();
     const std::string text =
         umicro::io::EngineStateToString(engine->ExportEngineState());
@@ -1670,21 +1662,27 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(shipper->promotions()));
   }
 
-  // ---- Canonical state dump --------------------------------------------
-  // The merged (sharded) or live (sequential) micro-cluster set in the
-  // codec's full-precision text form: the byte-comparable artifact the
-  // distributed e2e check diffs against an aggregator's dump.
-  if (!cli.state_out.empty() && !leaf_role && engine != nullptr) {
-    std::vector<umicro::core::MicroCluster> clusters;
+  // The merged (sharded) or live (sequential) micro-cluster set. The
+  // flags that read it (--state-out, --describe) only reach umicro runs.
+  const auto live_clusters =
+      [&engine]() -> const std::vector<umicro::core::MicroCluster>& {
     if (auto* parallel =
             dynamic_cast<umicro::parallel::ParallelUMicroEngine*>(
                 engine.get())) {
-      clusters = parallel->sharded().GlobalClusters();
-    } else if (umicro_ptr != nullptr) {
-      clusters = umicro_ptr->clusters();
+      return parallel->sharded().GlobalClusters();
     }
-    if (!umicro::io::WriteMicroClustersFile(clusters, dataset.dimensions(),
-                                            cli.state_out)) {
+    return dynamic_cast<umicro::core::UMicroEngine&>(*engine)
+        .online()
+        .clusters();
+  };
+
+  // ---- Canonical state dump --------------------------------------------
+  // The live set in the codec's full-precision text form: the
+  // byte-comparable artifact the distributed e2e check diffs against an
+  // aggregator's dump.
+  if (!cli.state_out.empty()) {
+    if (!umicro::io::WriteMicroClustersFile(
+            live_clusters(), dataset.dimensions(), cli.state_out)) {
       std::fprintf(stderr, "failed to write %s\n", cli.state_out.c_str());
       return 1;
     }
@@ -1692,7 +1690,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Final checkpoint + resilience summary --------------------------
-  if (checkpointer != nullptr && engine != nullptr) {
+  if (checkpointer != nullptr) {
     if (!checkpointer->CheckpointNow(*engine)) {
       std::fprintf(stderr, "failed to write final checkpoint in %s\n",
                    cli.checkpoint_dir.c_str());
@@ -1703,7 +1701,7 @@ int main(int argc, char** argv) {
                 checkpointer->write_failures(),
                 checkpointer->last_path().c_str());
   }
-  if (cli.degrade && engine != nullptr) {
+  if (cli.degrade) {
     umicro::obs::MetricsRegistry& metrics = engine->metrics();
     std::printf(
         "degradation: %llu activations, %llu points shed in %llu "
@@ -1723,33 +1721,22 @@ int main(int argc, char** argv) {
   // so the first query already sees the full ingested stream. Blocks
   // until stdin closes or a QUIT arrives; the final metrics dump below
   // then includes the serve.* instruments.
-  if (cli.serve && engine != nullptr) {
-    umicro::serve::QueryBrokerOptions broker_options;
-    broker_options.num_threads = cli.serve_threads;
-    umicro::serve::QueryBroker broker(replica.get(), broker_options,
-                                      &engine->metrics());
+  if (cli.serve) {
+    umicro::serve::QueryBroker broker(
+        replica.get(), umicro::serve::QueryBrokerOptions::FromConfig(config),
+        &engine->metrics());
     std::printf("serving on stdin/stdout with %zu query threads "
                 "(CLUSTER/NEAREST/ANOMALY/STATS/QUIT)\n",
-                cli.serve_threads);
+                config.serve.threads);
     std::fflush(stdout);
     const std::size_t served =
         umicro::serve::ServeLineProtocol(broker, std::cin, std::cout);
     std::printf("served %zu queries\n", served);
   }
 
-  if (cli.describe && umicro_ptr != nullptr) {
+  if (cli.describe) {
     std::printf("\n%s",
-                umicro::core::SummarizeClusters(umicro_ptr->clusters())
-                    .c_str());
-  } else if (cli.describe && engine != nullptr) {
-    auto* parallel = dynamic_cast<umicro::parallel::ParallelUMicroEngine*>(
-        engine.get());
-    if (parallel != nullptr) {
-      std::printf("\n%s",
-                  umicro::core::SummarizeClusters(
-                      parallel->sharded().GlobalClusters())
-                      .c_str());
-    }
+                umicro::core::SummarizeClusters(live_clusters()).c_str());
   }
 
   // ---- Final metrics dump ---------------------------------------------
@@ -1771,7 +1758,7 @@ int main(int argc, char** argv) {
   if (!cli.centroids_out.empty() && !centroids.empty()) {
     std::vector<std::string> header;
     for (std::size_t j = 0; j < dataset.dimensions(); ++j) {
-      header.push_back("c" + std::to_string(j));
+      header.push_back(std::string("c").append(std::to_string(j)));
     }
     umicro::util::CsvWriter writer(header);
     for (const auto& centroid : centroids) writer.AddRow(centroid);
