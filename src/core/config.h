@@ -52,10 +52,9 @@ struct CheckpointConfig {
 struct ServeConfig {
   /// Broker worker threads.
   std::size_t threads = 4;
-  /// Broker queue bound (backpressure toward the front end).
+  /// Broker queue bound (backpressure toward the front end). ANOMALY
+  /// queries judge against umicro.boundary_factor (the paper's t).
   std::size_t max_queue = 1024;
-  /// Uncertainty-boundary width for ANOMALY queries.
-  double boundary_factor = 3.0;
 };
 
 /// Multi-tenant fleet knobs (fleet subsystem; docs/fleet.md).

@@ -15,33 +15,20 @@ EngineFleet::EngineFleet(std::size_t dimensions,
       tenants_gauge_(&metrics_.GetGauge("fleet.tenants")),
       points_counter_(&metrics_.GetCounter("fleet.points")),
       batch_micros_(&metrics_.GetHistogram("fleet.tenant_batch_micros")),
-      skew_gauge_(&metrics_.GetGauge("fleet.ingest_skew")) {
+      skew_gauge_(&metrics_.GetGauge("fleet.ingest_skew")),
+      pool_({.workers = std::max<std::size_t>(1, config.fleet.workers),
+             .queue_capacity =
+                 std::max<std::size_t>(1, config.fleet.queue_capacity)},
+            [this](std::size_t worker, WorkItem& item) {
+              ProcessItem(worker, item);
+            }) {
   UMICRO_CHECK(dimensions_ > 0);
-  const std::size_t num_workers = std::max<std::size_t>(
-      1, config_.fleet.workers);
-  const std::size_t capacity = std::max<std::size_t>(
-      1, config_.fleet.queue_capacity);
-  workers_.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    auto worker = std::make_unique<Worker>(
-        capacity, parallel::BackpressurePolicy::kBlock);
-    worker->points = &metrics_.GetCounter(
-        "fleet.worker." + std::to_string(i) + ".points");
-    workers_.push_back(std::move(worker));
-  }
-  for (auto& worker : workers_) {
-    Worker* raw = worker.get();
-    raw->thread = std::thread([this, raw] { WorkerLoop(raw); });
+  for (std::size_t i = 0; i < pool_.size(); ++i) {
+    worker_points_.push_back(&metrics_.GetCounter(
+        "fleet.worker." + std::to_string(i) + ".points"));
   }
   for (std::uint64_t tenant = 0; tenant < config_.fleet.tenants; ++tenant) {
     EnsureSlot(tenant);
-  }
-}
-
-EngineFleet::~EngineFleet() {
-  for (auto& worker : workers_) worker->queue.Close();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
   }
 }
 
@@ -52,7 +39,7 @@ std::size_t EngineFleet::WorkerOf(std::uint64_t tenant) const {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   z ^= z >> 31;
-  return static_cast<std::size_t>(z % workers_.size());
+  return static_cast<std::size_t>(z % pool_.size());
 }
 
 EngineFleet::TenantSlot* EngineFleet::FindSlot(std::uint64_t tenant) const {
@@ -110,39 +97,17 @@ void EngineFleet::RouteBatch(TenantSlot* slot) {
   item.batch = std::move(slot->pending);
   slot->pending.clear();
   slot->pending.reserve(config_.fleet.tenant_batch);
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  Worker& worker = *workers_[WorkerOf(slot->handle.id())];
-  if (!worker.queue.Push(std::move(item))) {
-    // Queue closed (shutdown): the batch is dropped, undo the account.
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      done_cv_.notify_all();
-    }
-  }
+  pool_.Submit(WorkerOf(slot->handle.id()), std::move(item));
 }
 
-void EngineFleet::WorkerLoop(Worker* worker) {
-  WorkItem item;
-  while (worker->queue.Pop(&item)) {
-    {
-      const obs::ScopedTimer timer(batch_micros_);
-      std::lock_guard<std::mutex> lock(item.slot->mu);
-      item.slot->handle.core().ProcessBatch(item.batch);
-    }
-    worker->points->Increment(item.batch.size());
-    item.batch.clear();
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      done_cv_.notify_all();
-    }
+void EngineFleet::ProcessItem(std::size_t worker, WorkItem& item) {
+  {
+    const obs::ScopedTimer timer(batch_micros_);
+    std::lock_guard<std::mutex> lock(item.slot->mu);
+    item.slot->handle.core().ProcessBatch(item.batch);
   }
-}
-
-void EngineFleet::DrainAll() {
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
+  worker_points_[worker]->Increment(item.batch.size());
+  item.batch.clear();
 }
 
 void EngineFleet::Ingest(std::uint64_t tenant,
@@ -162,7 +127,7 @@ void EngineFleet::Flush() {
     for (const auto& [id, slot] : tenants_) slots.push_back(slot.get());
   }
   for (TenantSlot* slot : slots) RouteBatch(slot);
-  DrainAll();
+  pool_.Drain();
   for (TenantSlot* slot : slots) {
     std::lock_guard<std::mutex> lock(slot->mu);
     slot->handle.core().Flush();
@@ -174,7 +139,7 @@ TenantHandle EngineFleet::ReleaseTenant(std::uint64_t tenant) {
   TenantSlot* slot = FindSlot(tenant);
   if (slot == nullptr) return TenantHandle();
   RouteBatch(slot);
-  DrainAll();
+  pool_.Drain();
   {
     std::lock_guard<std::mutex> lock(slot->mu);
     slot->handle.core().AttachSnapshotSink(nullptr);
@@ -209,7 +174,7 @@ std::optional<core::HorizonClustering> EngineFleet::ClusterRecent(
   TenantSlot* slot = FindSlot(tenant);
   if (slot == nullptr) return std::nullopt;
   RouteBatch(slot);
-  DrainAll();
+  pool_.Drain();
   std::lock_guard<std::mutex> lock(slot->mu);
   return slot->handle.core().ClusterRecent(horizon, options);
 }
@@ -225,7 +190,7 @@ core::EngineState EngineFleet::ExportTenantState(std::uint64_t tenant) {
   TenantSlot* slot = FindSlot(tenant);
   UMICRO_CHECK(slot != nullptr);
   RouteBatch(slot);
-  DrainAll();
+  pool_.Drain();
   std::lock_guard<std::mutex> lock(slot->mu);
   return slot->handle.core().ExportState();
 }
@@ -286,14 +251,14 @@ serve::ReplicaResolver EngineFleet::Resolver() {
 double EngineFleet::ComputeSkew() const {
   std::uint64_t total = 0;
   std::uint64_t peak = 0;
-  for (const auto& worker : workers_) {
-    const std::uint64_t points = worker->points->value();
+  for (const obs::Counter* counter : worker_points_) {
+    const std::uint64_t points = counter->value();
     total += points;
     peak = std::max(peak, points);
   }
   if (total == 0) return 0.0;
   const double mean =
-      static_cast<double>(total) / static_cast<double>(workers_.size());
+      static_cast<double>(total) / static_cast<double>(worker_points_.size());
   return static_cast<double>(peak) / mean;
 }
 
@@ -301,9 +266,9 @@ FleetStats EngineFleet::Stats() const {
   FleetStats stats;
   stats.tenants = tenant_count();
   stats.points_ingested = points_counter_->value();
-  stats.worker_points.reserve(workers_.size());
-  for (const auto& worker : workers_) {
-    stats.worker_points.push_back(worker->points->value());
+  stats.worker_points.reserve(worker_points_.size());
+  for (const obs::Counter* counter : worker_points_) {
+    stats.worker_points.push_back(counter->value());
   }
   stats.ingest_skew = ComputeSkew();
   skew_gauge_->Set(stats.ingest_skew);

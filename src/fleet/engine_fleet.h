@@ -5,10 +5,10 @@
 // thousands of small independent uncertain streams (arXiv:0909.1777's
 // per-source uncertainty state), not one monolithic stream. The fleet
 // owns one TenantHandle (-> core::EngineCore) per tenant and routes
-// (tenant_id, point) ingest by tenant hash onto the same shard-worker
-// machinery the sharded engine uses: a parallel::BoundedQueue per
-// worker, per-tenant batches of `fleet.tenant_batch` points, each batch
-// drained through the batched kernel path (EngineCore::ProcessBatch).
+// (tenant_id, point) ingest by tenant hash onto the parallel::WorkerPool
+// the sharded engine uses, in per-tenant batches of `fleet.tenant_batch`
+// points, each batch drained through the batched kernel path
+// (EngineCore::ProcessBatch).
 // Hashing a tenant to exactly one worker keeps every tenant's points in
 // ingest order, which is why a tenant's state stays bit-identical to an
 // isolated single-engine run (the fleet parity test's invariant).
@@ -39,15 +39,12 @@
 #ifndef UMICRO_FLEET_ENGINE_FLEET_H_
 #define UMICRO_FLEET_ENGINE_FLEET_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -55,7 +52,7 @@
 #include "core/horizon.h"
 #include "fleet/tenant_handle.h"
 #include "obs/metrics.h"
-#include "parallel/bounded_queue.h"
+#include "parallel/worker_pool.h"
 #include "serve/query_broker.h"
 #include "serve/replica.h"
 #include "stream/point.h"
@@ -89,7 +86,7 @@ class EngineFleet {
   EngineFleet& operator=(const EngineFleet&) = delete;
 
   /// Drains queued work and joins the workers.
-  ~EngineFleet();
+  ~EngineFleet() = default;
 
   /// Routes one point to `tenant` (created on first sight). Batches of
   /// `fleet.tenant_batch` points are handed to the tenant's worker;
@@ -197,15 +194,8 @@ class EngineFleet {
     std::vector<stream::UncertainPoint> batch;
   };
 
-  struct Worker {
-    Worker(std::size_t capacity, parallel::BackpressurePolicy policy)
-        : queue(capacity, policy) {}
-    parallel::BoundedQueue<WorkItem> queue;
-    obs::Counter* points = nullptr;
-    std::thread thread;
-  };
-
-  void WorkerLoop(Worker* worker);
+  /// Pool handler: drains one tenant batch on worker `worker`.
+  void ProcessItem(std::size_t worker, WorkItem& item);
 
   /// Worker a tenant's batches are pinned to (splitmix64 of the id, so
   /// dense tenant ids still spread evenly).
@@ -216,9 +206,6 @@ class EngineFleet {
 
   /// Hands a tenant's pending batch to its worker (coordinator only).
   void RouteBatch(TenantSlot* slot);
-
-  /// Waits until every routed batch has been drained.
-  void DrainAll();
 
   /// Recomputes the ingest-skew gauge from the worker counters.
   double ComputeSkew() const;
@@ -237,13 +224,15 @@ class EngineFleet {
   mutable std::mutex tenants_mu_;
   std::map<std::uint64_t, std::unique_ptr<TenantSlot>> tenants_;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<std::size_t> in_flight_{0};
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
+  /// fleet.worker.<i>.points, one per pool worker.
+  std::vector<obs::Counter*> worker_points_;
 
   /// Coordinator-only ingest tally.
   std::uint64_t points_ingested_ = 0;
+
+  /// The ingest workers. Declared last so it is destroyed first: queued
+  /// batches are drained into the tenant slots above before they go away.
+  parallel::WorkerPool<WorkItem> pool_;
 };
 
 }  // namespace umicro::fleet

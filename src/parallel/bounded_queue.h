@@ -8,8 +8,9 @@
 // counts) stays exact.
 //
 // Safe for multiple producers and multiple consumers (mutex + condition
-// variables); the sharded engine uses it SPSC — one coordinator thread
-// feeding one worker per shard.
+// variables). parallel::WorkerPool uses it SPSC -- one coordinator feeding
+// each worker -- and the query broker MPMC: front-end threads feeding N
+// broker threads that pop one shared queue.
 
 #ifndef UMICRO_PARALLEL_BOUNDED_QUEUE_H_
 #define UMICRO_PARALLEL_BOUNDED_QUEUE_H_
@@ -48,6 +49,8 @@ struct QueueMetricsHooks {
   obs::Counter* dropped = nullptr;
   /// Raised to the highest occupancy observed (in queued items).
   obs::Gauge* high_water = nullptr;
+  /// Set to the occupancy after every accepted push and every pop.
+  obs::Gauge* depth = nullptr;
   /// Full Push latency, including any kBlock backpressure stall --
   /// the queue-pressure signal.
   obs::Histogram* enqueue_micros = nullptr;
@@ -125,6 +128,7 @@ class BoundedQueue {
     if (hooks_.high_water != nullptr) {
       hooks_.high_water->SetMax(static_cast<double>(count_));
     }
+    if (hooks_.depth != nullptr) hooks_.depth->Set(static_cast<double>(count_));
     not_empty_.notify_one();
     return true;
   }
@@ -171,9 +175,6 @@ class BoundedQueue {
   /// Fixed capacity.
   std::size_t capacity() const { return capacity_; }
 
-  /// Configured overflow policy.
-  BackpressurePolicy policy() const { return policy_; }
-
   /// Attaches registry-backed probes. Call before any concurrent use
   /// (the hooks are copied without synchronization); pass {} to detach.
   void SetMetricsHooks(const QueueMetricsHooks& hooks) { hooks_ = hooks; }
@@ -208,6 +209,7 @@ class BoundedQueue {
     head_ = (head_ + 1) % capacity_;
     --count_;
     ++popped_;
+    if (hooks_.depth != nullptr) hooks_.depth->Set(static_cast<double>(count_));
     not_full_.notify_one();
   }
 

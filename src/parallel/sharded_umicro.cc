@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <numeric>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "obs/scoped_timer.h"
@@ -53,13 +53,19 @@ ShardedUMicro::ShardedUMicro(std::size_t dimensions,
       degrade_active_gauge_(&metrics_.GetGauge("parallel.degrade.active")),
       worker_restarts_metric_(
           &metrics_.GetCounter("parallel.worker_restarts")),
-      shed_rng_(options.degrade.seed) {
-  UMICRO_CHECK(options_.num_shards >= 1);
+      shed_rng_(options.degrade.seed),
+      pool_({.workers = options.num_shards,
+             .queue_capacity = options.queue_capacity,
+             .policy = options.backpressure,
+             .supervisor = options.supervisor,
+             .restarts_metric = worker_restarts_metric_},
+            [this](std::size_t index, Batch& batch) {
+              ProcessShardBatch(index, batch);
+            }) {
+  // num_shards and queue_capacity are checked by the pool.
   UMICRO_CHECK(options_.producer_batch >= 1);
-  UMICRO_CHECK(options_.queue_capacity >= 1);
   shards_.reserve(options_.num_shards);
   pending_batches_.resize(options_.num_shards);
-  in_flight_.assign(options_.num_shards, 0);
   // One shared enqueue-pressure histogram: only the coordinator pushes,
   // so shard attribution adds nothing the per-shard counters don't give.
   obs::Histogram& enqueue_micros =
@@ -77,29 +83,10 @@ ShardedUMicro::ShardedUMicro(std::size_t dimensions,
     hooks.enqueued = &metrics_.GetCounter(prefix + "queue_batches");
     hooks.high_water = &metrics_.GetGauge(prefix + "queue_high_water");
     hooks.enqueue_micros = &enqueue_micros;
-    shard.queue.SetMetricsHooks(hooks);
+    pool_.queue(i).SetMetricsHooks(hooks);
     // The shard algorithms share the pipeline registry: their "umicro."
     // cells aggregate across workers (atomics, so TSan stays clean).
     shard.algo.AttachMetrics(&metrics_);
-  }
-  for (std::size_t i = 0; i < options_.num_shards; ++i) {
-    shards_[i]->worker_alive.store(true, std::memory_order_release);
-    shards_[i]->worker = std::thread([this, i] { WorkerLoop(i); });
-  }
-  if (options_.supervisor.enabled) {
-    supervisor_ = std::thread([this] { SupervisorLoop(); });
-  }
-}
-
-ShardedUMicro::~ShardedUMicro() {
-  // Silence the supervisor before closing anything so a worker exiting
-  // on queue-close is never mistaken for a death and "restarted".
-  stopped_.store(true, std::memory_order_release);
-  supervisor_stop_.store(true, std::memory_order_release);
-  if (supervisor_.joinable()) supervisor_.join();
-  for (auto& shard : shards_) shard->queue.Close();
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
   }
 }
 
@@ -107,102 +94,25 @@ std::string ShardedUMicro::name() const {
   return "ShardedUMicro(" + std::to_string(options_.num_shards) + ")";
 }
 
-void ShardedUMicro::WorkerLoop(std::size_t index) {
+void ShardedUMicro::ProcessShardBatch(std::size_t index, Batch& batch) {
   Shard& shard = *shards_[index];
-  const std::string death_name =
-      "parallel.worker" + std::to_string(index) + ".death";
-  while (shard.queue.Pop(&shard.in_progress_batch)) {
-    if (UMICRO_FAILPOINT(death_name) ||
-        UMICRO_FAILPOINT("parallel.worker.death")) {
-      // Simulated death: exit with the popped batch still sitting in
-      // in_progress_batch and its points still counted in in_flight_,
-      // exactly the state a real crash would leave. The supervisor
-      // applies the batch itself, so no point is lost or double-counted.
-      shard.worker_alive.store(false, std::memory_order_release);
-      return;
-    }
-    if (util::FailpointRegistry::Instance().AnyArmed()) {
-      const std::size_t stall = util::FailpointRegistry::Instance()
-                                    .StallMillis("parallel.worker.stall");
-      if (stall > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(stall));
-      }
-    }
-    const std::size_t n = shard.in_progress_batch.size();
-    {
-      std::lock_guard<std::mutex> lock(shard.state_mu);
-      // One amortized batch-kernel ingest per popped batch (the batch
-      // vector is contiguous, so it views directly as a span).
-      shard.algo.ProcessBatch(shard.in_progress_batch);
-    }
-    shard.points_processed->Increment(n);
-    shard.batches_processed->Increment();
-    shard.in_progress_batch.clear();
-    {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      in_flight_[index] -= n;
-      if (in_flight_[index] == 0) done_cv_.notify_all();
-    }
+  {
+    std::lock_guard<std::mutex> lock(shard.state_mu);
+    // One amortized batch-kernel ingest per popped batch (the batch
+    // vector is contiguous, so it views directly as a span).
+    shard.algo.ProcessBatch(batch);
   }
-  shard.worker_alive.store(false, std::memory_order_release);
-}
-
-void ShardedUMicro::SupervisorLoop() {
-  const auto poll = std::chrono::milliseconds(
-      std::max<std::size_t>(std::size_t{1}, options_.supervisor.poll_millis));
-  while (!supervisor_stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(poll);
-    if (stopped_.load(std::memory_order_acquire)) continue;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (supervisor_stop_.load(std::memory_order_acquire)) return;
-      if (!shards_[i]->worker_alive.load(std::memory_order_acquire)) {
-        RestartShard(i);
-      }
-    }
-  }
-}
-
-void ShardedUMicro::RestartShard(std::size_t index) {
-  Shard& shard = *shards_[index];
-  if (shard.worker.joinable()) shard.worker.join();
-  // The join ordered the dead worker's writes: its orphaned batch (if
-  // any) is safe to take before the replacement starts popping into the
-  // same slot.
-  std::vector<stream::UncertainPoint> orphaned =
-      std::move(shard.in_progress_batch);
-  shard.in_progress_batch.clear();
-  worker_restarts_metric_->Increment();
-  // Apply the orphaned batch here, on the supervisor thread, BEFORE the
-  // replacement starts. Re-enqueueing instead can deadlock: if the
-  // queue filled while the shard was dead and the replacement dies on
-  // its very next pop, the supervisor is stuck in a kBlock Push with no
-  // consumer left and can never run another restart. Processing in
-  // place never touches the queue, and since the orphan was popped
-  // before everything still queued, shard-local order is preserved.
-  // The points stay counted in in_flight_ (the dead worker never
-  // decremented them), so they are only decremented, never re-added.
-  if (!orphaned.empty()) {
-    const std::size_t n = orphaned.size();
-    {
-      std::lock_guard<std::mutex> lock(shard.state_mu);
-      shard.algo.ProcessBatch(orphaned);
-    }
-    shard.points_processed->Increment(n);
-    shard.batches_processed->Increment();
-    std::lock_guard<std::mutex> lock(done_mu_);
-    in_flight_[index] -= n;
-    if (in_flight_[index] == 0) done_cv_.notify_all();
-  }
-  shard.worker_alive.store(true, std::memory_order_release);
-  shard.worker = std::thread([this, index] { WorkerLoop(index); });
+  shard.points_processed->Increment(batch.size());
+  shard.batches_processed->Increment();
+  batch.clear();
 }
 
 bool ShardedUMicro::ShouldShedBatch(std::size_t index) {
   const DegradationOptions& degrade = options_.degrade;
   if (!degrade.enabled) return false;
   const double occupancy =
-      static_cast<double>(shards_[index]->queue.size()) /
-      static_cast<double>(shards_[index]->queue.capacity());
+      static_cast<double>(pool_.queue(index).size()) /
+      static_cast<double>(pool_.queue(index).capacity());
   if (occupancy >= degrade.occupancy_trigger) {
     ++pressured_streak_;
     calm_streak_ = 0;
@@ -237,12 +147,12 @@ std::size_t ShardedUMicro::PickShard(const stream::UncertainPoint& point) {
 }
 
 void ShardedUMicro::EnqueueBatch(std::size_t index) {
-  std::vector<stream::UncertainPoint>& batch = pending_batches_[index];
+  Batch& batch = pending_batches_[index];
   if (batch.empty()) return;
   const std::size_t n = batch.size();
   if (ShouldShedBatch(index)) {
-    // Shed before the in-flight accounting: a shed batch never enters
-    // the pipeline, so drain/exactness bookkeeping is untouched.
+    // Shed before the pool: a shed batch never enters the pipeline, so
+    // drain/exactness bookkeeping is untouched.
     batches_shed_metric_->Increment();
     points_shed_metric_->Increment(n);
     shards_[index]->points_dropped->Increment(n);
@@ -251,13 +161,8 @@ void ShardedUMicro::EnqueueBatch(std::size_t index) {
     batch.reserve(options_.producer_batch);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(done_mu_);
-    in_flight_[index] += n;
-  }
-  std::optional<std::vector<stream::UncertainPoint>> displaced;
-  const bool accepted = shards_[index]->queue.Push(std::move(batch),
-                                                   &displaced);
+  std::optional<Batch> displaced;
+  const bool accepted = pool_.Submit(index, std::move(batch), &displaced);
   batch.clear();
   batch.reserve(options_.producer_batch);
 
@@ -270,9 +175,6 @@ void ShardedUMicro::EnqueueBatch(std::size_t index) {
   if (dropped > 0) {
     shards_[index]->points_dropped->Increment(dropped);
     points_dropped_metric_->Increment(dropped);
-    std::lock_guard<std::mutex> lock(done_mu_);
-    in_flight_[index] -= dropped;
-    if (in_flight_[index] == 0) done_cv_.notify_all();
   }
 }
 
@@ -300,14 +202,6 @@ void ShardedUMicro::Process(const stream::UncertainPoint& point) {
       points_since_merge_ >= effective_merge_every) {
     MergeNow();
   }
-}
-
-void ShardedUMicro::WaitDrained() {
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [this] {
-    return std::all_of(in_flight_.begin(), in_flight_.end(),
-                       [](std::size_t n) { return n == 0; });
-  });
 }
 
 void ShardedUMicro::RebuildGlobalView() {
@@ -342,7 +236,7 @@ void ShardedUMicro::MergeNow() {
     }
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) EnqueueBatch(i);
-  WaitDrained();
+  pool_.Drain();
   RebuildGlobalView();
   merges_metric_->Increment();
   global_clusters_metric_->Set(static_cast<double>(global_clusters_.size()));

@@ -8,28 +8,25 @@
 // distributed stream clustering -- turns the sequential algorithm into a
 // sharded pipeline:
 //
-//   Process() --partition--> per-shard bounded queue --> worker thread
-//                                                         (private UMicro)
+//   Process() --partition--> WorkerPool: per-shard bounded queue -->
+//                            worker thread (private UMicro)
 //   every merge_every points / on Flush(): drain, collect shard clusters,
 //   merge them into the global view, reconciling near-duplicate clusters
 //   with the paper's dimension-counting similarity.
 //
 // Threading contract: the public API is single-coordinator -- all calls
 // must come from one thread (the stream driver). Concurrency lives in the
-// worker threads behind the queues. The merged global view is only
+// WorkerPool behind the queues. The merged global view is only
 // recomputed at merge points, so reads between merges see the last merge.
 
 #ifndef UMICRO_PARALLEL_SHARDED_UMICRO_H_
 #define UMICRO_PARALLEL_SHARDED_UMICRO_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <condition_variable>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/microcluster.h"
@@ -37,6 +34,7 @@
 #include "core/umicro.h"
 #include "obs/metrics.h"
 #include "parallel/bounded_queue.h"
+#include "parallel/worker_pool.h"
 #include "stream/clusterer.h"
 #include "stream/point.h"
 #include "util/random.h"
@@ -77,19 +75,6 @@ struct DegradationOptions {
   double merge_stretch = 4.0;
   /// Seed of the deterministic shed decisions.
   std::uint64_t seed = 0x5eedu;
-};
-
-/// Worker supervision (resilience pillar 4). A supervisor thread polls
-/// worker liveness; a worker that died (only possible via the
-/// "parallel.worker*.death" failpoints -- the code has no exceptions) is
-/// joined, its in-flight batch applied by the supervisor itself, and a
-/// replacement spawned, so a dead shard can no longer wedge
-/// WaitDrained() forever.
-struct SupervisorOptions {
-  /// Master switch; off means no extra thread.
-  bool enabled = false;
-  /// Liveness poll interval.
-  std::size_t poll_millis = 20;
 };
 
 /// Configuration of the sharded ingest pipeline.
@@ -153,8 +138,11 @@ class ShardedUMicro : public stream::StreamClusterer {
   /// streams.
   ShardedUMicro(std::size_t dimensions, ShardedUMicroOptions options);
 
-  /// Stops and joins the workers; queued points are dropped.
-  ~ShardedUMicro() override;
+  /// Stops the workers. Batches already queued are still processed
+  /// before the workers are joined; points buffered in partial producer
+  /// batches (not yet enqueued) are dropped -- call Flush() first to keep
+  /// them.
+  ~ShardedUMicro() override = default;
 
   ShardedUMicro(const ShardedUMicro&) = delete;
   ShardedUMicro& operator=(const ShardedUMicro&) = delete;
@@ -206,42 +194,26 @@ class ShardedUMicro : public stream::StreamClusterer {
   const ShardedUMicroOptions& options() const { return options_; }
 
  private:
-  /// One worker: queue, private algorithm, and the mutex that hands the
-  /// algorithm state between the worker (processing) and the coordinator
+  using Batch = std::vector<stream::UncertainPoint>;
+
+  /// One shard: the private algorithm and the mutex that hands its state
+  /// between the shard's pool worker (processing) and the coordinator
   /// (collection after a drain). The counters are registry cells
   /// ("parallel.shard<i>." prefix), safe for worker-side updates.
   struct Shard {
     Shard(std::size_t dimensions, const ShardedUMicroOptions& options)
-        : queue(options.queue_capacity, options.backpressure),
-          algo(dimensions, options.umicro) {}
+        : algo(dimensions, options.umicro) {}
 
-    BoundedQueue<std::vector<stream::UncertainPoint>> queue;
     std::mutex state_mu;
     core::UMicro algo;  // guarded by state_mu
     obs::Counter* points_processed = nullptr;  // worker increments
     obs::Counter* batches_processed = nullptr;  // worker increments
     obs::Counter* points_dropped = nullptr;  // coordinator increments
     obs::Gauge* clusters_at_merge = nullptr;  // coordinator sets
-    /// True from just before the worker thread is spawned until its loop
-    /// exits; the supervisor restarts a shard whose flag dropped while
-    /// the pipeline is live.
-    std::atomic<bool> worker_alive{false};
-    /// The batch the worker is currently processing. Written by the
-    /// worker, read by the supervisor only after joining the dead thread
-    /// (join orders the accesses), so no lock is needed.
-    std::vector<stream::UncertainPoint> in_progress_batch;
-    std::thread worker;
   };
 
-  /// Worker thread body for shard `index`.
-  void WorkerLoop(std::size_t index);
-
-  /// Supervisor thread body: polls worker liveness, restarts the dead.
-  void SupervisorLoop();
-
-  /// Joins a dead worker, applies its in-flight batch, and spawns a
-  /// replacement (supervisor thread only).
-  void RestartShard(std::size_t index);
+  /// Pool handler: ingests one batch into shard `index` (worker thread).
+  void ProcessShardBatch(std::size_t index, Batch& batch);
 
   /// Load-shed decision for shard `index`'s pending batch: updates the
   /// pressure streaks, flips degraded mode, and returns true when the
@@ -253,9 +225,6 @@ class ShardedUMicro : public stream::StreamClusterer {
 
   /// Enqueues shard `index`'s pending producer batch (no-op if empty).
   void EnqueueBatch(std::size_t index);
-
-  /// Blocks until every shard's queue is empty and its worker idle.
-  void WaitDrained();
 
   /// Collects shard clusters and rebuilds the merged global view; must
   /// only run with all queues drained.
@@ -288,22 +257,13 @@ class ShardedUMicro : public stream::StreamClusterer {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Producer-side point buffers, one per shard (coordinator thread only).
-  std::vector<std::vector<stream::UncertainPoint>> pending_batches_;
-
-  /// In-flight points per shard (enqueued, not yet processed); guarded by
-  /// done_mu_, signalled via done_cv_ when a shard reaches zero.
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::vector<std::size_t> in_flight_;
+  std::vector<Batch> pending_batches_;
 
   // Coordinator-thread state.
   std::size_t points_ingested_ = 0;
   std::size_t points_since_merge_ = 0;
   std::size_t next_round_robin_ = 0;
   std::vector<core::MicroCluster> global_clusters_;
-  /// Set by the destructor before tearing anything down; read by the
-  /// supervisor to suppress restarts during shutdown.
-  std::atomic<bool> stopped_{false};
 
   // Load-shed controller state (coordinator thread only).
   bool degraded_ = false;
@@ -311,9 +271,10 @@ class ShardedUMicro : public stream::StreamClusterer {
   std::size_t calm_streak_ = 0;
   util::Rng shed_rng_;
 
-  // Supervisor thread (started only when options.supervisor.enabled).
-  std::atomic<bool> supervisor_stop_{false};
-  std::thread supervisor_;
+  /// One worker per shard. Declared last so it is destroyed first: its
+  /// workers process what is still queued into the shards above, then
+  /// join, before any shard or metric cell goes away.
+  WorkerPool<Batch> pool_;
 };
 
 }  // namespace umicro::parallel

@@ -1,10 +1,11 @@
 // QueryBroker: concurrent query answering over a SnapshotReadReplica.
 //
-// N worker threads drain a bounded queue of queries; every query runs
-// against an Acquire()d immutable ReplicaState, so nothing a query does
-// can stall Process/ProcessBatch on the engine thread. Submit() hands
-// back a future; Execute() answers synchronously on the caller's thread
-// through the identical code path (the quiesced-equality tests use it).
+// N worker threads pop one shared parallel::BoundedQueue of queries; every
+// query runs against an Acquire()d immutable ReplicaState, so nothing a
+// query does can stall Process/ProcessBatch on the engine thread.
+// Submit() hands back a future; Execute() answers synchronously on the
+// caller's thread through the identical code path (the quiesced-equality
+// tests use it).
 //
 // Query kinds (the paper's interactive analysis, Section II-D, served):
 //   kClusterRecent -- "cluster the last h time units into k groups"
@@ -22,14 +23,11 @@
 #ifndef UMICRO_SERVE_QUERY_BROKER_H_
 #define UMICRO_SERVE_QUERY_BROKER_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -39,6 +37,7 @@
 #include "core/horizon.h"
 #include "core/macro_cluster.h"
 #include "obs/metrics.h"
+#include "parallel/bounded_queue.h"
 #include "serve/replica.h"
 
 namespace umicro::serve {
@@ -50,7 +49,8 @@ struct QueryBrokerOptions {
   /// Submit() blocks when this many queries are already queued
   /// (backpressure toward the front end, never toward ingest).
   std::size_t max_queue = 1024;
-  /// Uncertainty-boundary width for kAnomaly (the paper's t).
+  /// Uncertainty-boundary width for kAnomaly (the paper's t; FromConfig
+  /// takes the algorithm's own UMicroOptions::boundary_factor).
   double boundary_factor = 3.0;
   /// Macro-clustering defaults for kClusterRecent; a request's k
   /// overrides options.macro.k when nonzero.
@@ -61,7 +61,7 @@ struct QueryBrokerOptions {
     QueryBrokerOptions options;
     options.num_threads = config.serve.threads;
     options.max_queue = config.serve.max_queue;
-    options.boundary_factor = config.serve.boundary_factor;
+    options.boundary_factor = config.umicro.boundary_factor;
     return options;
   }
 };
@@ -162,11 +162,7 @@ class QueryBroker {
   bool multi_tenant() const { return multi_tenant_; }
 
   /// Queries answered so far (workers + Execute).
-  std::uint64_t queries_served() const {
-    return queries_ != nullptr
-               ? queries_->value()
-               : served_fallback_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t queries_served() const { return queries_->value(); }
 
  private:
   struct PendingQuery {
@@ -189,19 +185,15 @@ class QueryBroker {
   bool multi_tenant_ = true;
   const QueryBrokerOptions options_;
   obs::MetricsRegistry* metrics_;
+  /// Holds the serve.* instruments when no registry is passed in.
+  obs::MetricsRegistry own_metrics_;
   obs::Counter* queries_ = nullptr;
   obs::Counter* errors_ = nullptr;
   obs::Histogram* query_micros_ = nullptr;
-  obs::Gauge* queue_depth_gauge_ = nullptr;
-  obs::Gauge* queue_depth_peak_ = nullptr;
-  /// Served tally when no registry is attached.
-  mutable std::atomic<std::uint64_t> served_fallback_{0};
 
-  mutable std::mutex mu_;
-  std::condition_variable queue_nonempty_;
-  std::condition_variable queue_nonfull_;
-  std::deque<PendingQuery> queue_;
-  bool shutdown_ = false;
+  /// Shared by every worker thread. Pointer slots allocate no promise
+  /// state up front; shared ownership lets Submit() answer a rejection.
+  parallel::BoundedQueue<std::shared_ptr<PendingQuery>> queue_;
   std::vector<std::thread> workers_;
 };
 

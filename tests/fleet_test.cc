@@ -67,7 +67,7 @@ TEST(EngineConfigTest, FromConfigMapsTheServeSlice) {
   core::EngineConfig config;
   config.serve.threads = 9;
   config.serve.max_queue = 33;
-  config.serve.boundary_factor = 2.5;
+  config.umicro.boundary_factor = 2.5;
   const serve::QueryBrokerOptions options =
       serve::QueryBrokerOptions::FromConfig(config);
   EXPECT_EQ(options.num_threads, 9u);

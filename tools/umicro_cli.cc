@@ -930,7 +930,6 @@ int RunAggregatorRole(const CliOptions& cli) {
   options.snapshot = config.snapshot;
   options.decay_lambda = config.umicro.decay_lambda;
   options.broker = umicro::serve::QueryBrokerOptions::FromConfig(config);
-  options.broker.boundary_factor = config.umicro.boundary_factor;
   options.start_as_standby = cli.start_as_standby;
   options.stale_after_ms =
       static_cast<int>(cli.stale_after * 1000.0 + 0.5);
@@ -1177,10 +1176,9 @@ int RunFleetMode(const CliOptions& cli,
   }
 
   if (cli.serve) {
-    umicro::serve::QueryBrokerOptions broker_options =
-        umicro::serve::QueryBrokerOptions::FromConfig(config);
-    umicro::serve::QueryBroker broker(fleet->Resolver(), broker_options,
-                                      &fleet->metrics());
+    umicro::serve::QueryBroker broker(
+        fleet->Resolver(), umicro::serve::QueryBrokerOptions::FromConfig(config),
+        &fleet->metrics());
     std::printf("serving %zu tenants on stdin/stdout with %zu query "
                 "threads (HELLO/TENANT/CLUSTER/NEAREST/ANOMALY/STATS/"
                 "QUIT)\n",
